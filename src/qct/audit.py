@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 from . import families, polyalg, quantum
 from .errors import FieldError, QctError
@@ -121,9 +122,12 @@ def audit_table1(cap: int = DEFAULT_CAP, threads: int = 1) -> VerificationReport
 
 # -- Table 2: punctured BCH codes over GF(4) ----------------------------------
 
-def _bch_interval_candidates(n: int, k: int):
-    """All BCH defining sets (closures of exponent intervals avoiding 0)
-    over GF(4) of length n whose code dimension is k, as (b, width, T)."""
+@lru_cache(maxsize=64)
+def _bch_interval_closures(n: int) -> tuple:
+    """The distinct GF(4) closures, not containing 0, of the exponent
+    intervals mod n that avoid 0, in (width, start) order of first
+    appearance.  Cached: every Table 2 row of length n and its off-by-one
+    reading filter the same list."""
     out = []
     seen = set()
     for width in range(1, n):
@@ -132,13 +136,17 @@ def _bch_interval_candidates(n: int, k: int):
             if 0 in raw:
                 continue
             t = polyalg.defining_set_closure(raw, "cyclic", n, 4)
-            if 0 in t.exponents or len(t.exponents) != n - k:
-                continue
-            if t.exponents in seen:
+            if 0 in t.exponents or t.exponents in seen:
                 continue
             seen.add(t.exponents)
             out.append(t)
-    return out
+    return tuple(out)
+
+
+def _bch_interval_candidates(n: int, k: int):
+    """All BCH defining sets (closures of exponent intervals avoiding 0)
+    over GF(4) of length n whose code dimension is k."""
+    return [t for t in _bch_interval_closures(n) if len(t.exponents) == n - k]
 
 
 def _audit_table2_row(row, cap: int) -> AuditRow:

@@ -36,9 +36,28 @@ def _parse_element(token: str, field) -> int:
     return value
 
 
+def _read_json(source: str):
+    """The JSON document in a file, or on stdin for -.  Unreadable or
+    malformed input raises QctError, so the CLI exits 1 with one line."""
+    try:
+        if source == "-":
+            return json.loads(sys.stdin.read())
+        with open(source) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:   # JSONDecodeError is a ValueError
+        raise QctError(f"cannot load {source}: {exc}") from exc
+
+
 def _load_code(source: str):
-    data = sys.stdin.read() if source == "-" else open(source).read()
-    return lincode.code_from_json(json.loads(data))
+    rec = _read_json(source)
+    if not isinstance(rec, dict):
+        raise QctError(f"cannot load {source}: not a JSON object")
+    try:
+        return lincode.code_from_json(rec)
+    except KeyError as exc:
+        raise QctError(f"cannot load {source}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise QctError(f"cannot load {source}: {exc}") from exc
 
 
 def _emit_code(code, as_json: bool):
@@ -64,7 +83,8 @@ def _emit_aqc(rec, as_json: bool):
               help="seed for randomized basis searches")
 @click.option("--catalog", "catalog_path", default=None, envvar="QCT_CATALOG",
               help="path of the JSON-lines catalog")
-@click.option("--threads", type=int, default=1, envvar="QCT_THREADS",
+@click.option("--threads", type=click.IntRange(min=1), default=1,
+              envvar="QCT_THREADS",
               help="worker threads for audits")
 @click.pass_context
 def main(ctx, cap, seed, catalog_path, threads):
@@ -382,8 +402,7 @@ def catalog_group(ctx):
               required=True)
 @click.pass_context
 def catalog_put(ctx, source, kind):
-    data = sys.stdin.read() if source == "-" else open(source).read()
-    entry = Catalog(ctx.obj["catalog"]).put(kind, json.loads(data))
+    entry = Catalog(ctx.obj["catalog"]).put(kind, _read_json(source))
     click.echo(entry.id)
 
 

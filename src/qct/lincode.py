@@ -2,9 +2,16 @@
 bounded minimum distance, relative weights, and subfield basis expansions.
 
 Codes are stored in reduced row echelon form, so equality and containment are
-matrix comparisons.  Distance enumeration walks all q^k messages in numpy
-blocks; binary-characteristic codes with n <= 64 additionally get a
-bit-sliced path (one uint64 bitmask per coefficient plane).
+matrix comparisons.  Exact distances and relative weights come from one
+enumeration kernel.  It holds vectors as base-p digit planes: bits packed
+into uint64 words when p = 2, one small unsigned integer per digit for odd p.
+It tabulates every combination of the low generator rows, as many as fit in
+a table capped in bytes, and walks the high messages in message-index order,
+so each block is the table plus one offset vector.  Row 0 is the
+least-significant message digit, and the witness is the first
+minimum-weight codeword in that order.  For the relative weight of C2 over
+C1, the syndrome columns G2.H1^T are appended to the generator, and a
+codeword lies outside C1 exactly when its syndrome digits are nonzero.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from .errors import CodeError, PreconditionError, SearchCapExceeded
 from .galois import ExtensionBasis, Field, build_field, field_from_json
 
 DEFAULT_CAP = 1 << 24
-_BLOCK = 1 << 16
+_TABLE_BYTES = 1 << 22   # low-row combination table of _enumerate
 
 
 @dataclass
@@ -193,99 +200,92 @@ def direct_sum(a: LinearCode, b: LinearCode) -> LinearCode:
 
 # -- weight enumeration -------------------------------------------------------
 
-def _message_digits(start: int, count: int, q: int, k: int) -> np.ndarray:
-    idx = np.arange(start, start + count, dtype=np.int64)
-    return (idx[:, None] // (q ** np.arange(k, dtype=np.int64))[None, :]) % q
+def _digit_planes(f: Field, vals: np.ndarray, n: int) -> np.ndarray:
+    """Elements (..., N) -> base-p digit planes (..., e, W).
+
+    For p = 2 each plane is packed little-endian into uint64 words, with
+    positions [0, n) and [n, N) starting separate words; for odd p each
+    digit is one small unsigned integer.
+    """
+    digits = (vals[..., None, :] // f.p ** np.arange(f.e)[:, None]) % f.p
+    if f.p != 2:
+        return digits.astype(np.min_scalar_type(2 * (f.p - 1)))
+    parts = []
+    for part in (digits[..., :n], digits[..., n:]):
+        pad = -part.shape[-1] % 64
+        part = np.pad(part.astype(np.uint8),
+                      [(0, 0)] * (part.ndim - 1) + [(0, pad)])
+        parts.append(np.packbits(part, axis=-1, bitorder="little").view("<u8"))
+    return np.concatenate(parts, axis=-1)
 
 
 def _enumerate(code: LinearCode, exclude: LinearCode | None):
-    """Scan all q^k codewords; yield the minimum weight and witness over
-    nonzero codewords outside `exclude` (if given)."""
+    """Minimum weight, and the first codeword of that weight in message-index
+    order, over the nonzero codewords of `code` outside `exclude` (if given).
+    The walk is described in the module docstring."""
     f = code.field
-    q = f.order
+    p, q = f.p, f.order
     g = code.matrix
     k, n = g.shape
-    total = q ** k
-    h = exclude.parity_check() if exclude is not None else None
+    if exclude is not None:
+        g = np.concatenate(
+            [g, gflinalg.matmul(g, exclude.parity_check().T, f)], axis=1)
+    # scaled[j, c] = digit planes of c * row j
+    scaled = _digit_planes(f, f.vmul(np.arange(q)[:, None, None], g[None]),
+                           n).transpose(1, 0, 2, 3)
+    wc = -(-n // 64) if p == 2 else n   # words (or digits) of the codeword
 
-    best_w = n + 1
-    best_cw = None
+    if p == 2:
+        add = np.bitwise_xor
+    else:
+        def add(a, b):
+            s = a + b
+            np.subtract(s, p, out=s, where=s >= p)
+            return s
 
-    use_bits = f.p == 2 and n <= 64
-    if use_bits:
-        planes = f.e
-        # scaled-row bitmasks: rows[j][c][plane]
-        scaled = np.zeros((k, q, planes), dtype=np.uint64)
-        for j in range(k):
-            for c in range(q):
-                row = f.vmul(c, g[j])
-                for pl in range(planes):
-                    bits = ((row >> pl) & 1).astype(np.uint64)
-                    scaled[j, c, pl] = np.uint64(
-                        int("".join(map(str, bits[::-1])), 2)) if n else 0
-        hmasks = None
-        if h is not None:
-            if f.e != 1:
-                use_bits = False  # syndrome filter only implemented for GF(2)
-            else:
-                hmasks = np.array(
-                    [int("".join(map(str, (hr & 1)[::-1])), 2) for hr in h],
-                    dtype=np.uint64)
+    t = 1
+    while t < k and q ** (t + 1) * scaled[0, 0].nbytes <= _TABLE_BYTES:
+        t += 1
+    table = scaled[0]
+    for j in range(1, t):
+        table = add(table[None], scaled[j][:, None])
+        table = table.reshape(-1, *table.shape[2:])
 
-    for start in range(0, total, _BLOCK):
-        count = min(_BLOCK, total - start)
-        digits = _message_digits(start, count, q, k)
-        if use_bits:
-            acc = np.zeros((count, planes), dtype=np.uint64)
-            for j in range(k):
-                acc ^= scaled[j, digits[:, j]]
-            nz = acc[:, 0]
-            for pl in range(1, planes):
-                nz = nz | acc[:, pl]
-            weights = np.bitwise_count(nz).astype(np.int64)
-            keep = weights > 0
-            if hmasks is not None:
-                in_sub = np.ones(count, dtype=bool)
-                for hm in hmasks:
-                    in_sub &= (np.bitwise_count(acc[:, 0] & hm) & np.uint64(1)) == 0
-                keep &= ~in_sub
-            if not keep.any():
-                continue
-            widx = np.where(keep)[0]
-            wmin_i = widx[np.argmin(weights[widx])]
-            if weights[wmin_i] < best_w:
-                best_w = int(weights[wmin_i])
-                mask = int(acc[wmin_i, 0])
-                cw = np.zeros(n, dtype=np.int64)
-                for pl in range(planes):
-                    m = int(acc[wmin_i, pl])
-                    for b in range(n):
-                        if (m >> b) & 1:
-                            cw[b] |= 1 << pl
-                best_cw = tuple(int(x) for x in cw)
+    best_w, best = n + 1, None
+    for h in range(q ** (k - t)):
+        off = np.zeros_like(table[0])
+        for j in range(t, k):
+            d = h // q ** (j - t) % q
+            if d:
+                off = add(off, scaled[j, d])
+        block = add(table, off)
+        nz = block[:, 0, :wc]
+        for pl in range(1, f.e):
+            nz = nz | block[:, pl, :wc]
+        if p == 2:
+            bits = np.bitwise_count(nz)
+            weights = bits[:, 0].astype(np.int64)
+            for w in range(1, wc):   # cheaper than a reduction over words
+                weights += bits[:, w]
         else:
-            cw = np.zeros((count, n), dtype=np.int64)
-            for j in range(k):
-                cw = f.vadd(cw, f.vmul(digits[:, j:j + 1], g[j][None, :]))
-            weights = np.count_nonzero(cw, axis=1)
-            keep = weights > 0
-            if h is not None and h.shape[0] > 0:
-                in_sub = np.ones(count, dtype=bool)
-                for hr in h:
-                    s = np.zeros(count, dtype=np.int64)
-                    prod = f.vmul(cw, hr[None, :])
-                    for col in range(n):
-                        s = f.vadd(s, prod[:, col])
-                    in_sub &= s == 0
-                keep &= ~in_sub
-            if not keep.any():
-                continue
-            widx = np.where(keep)[0]
-            wmin_i = widx[np.argmin(weights[widx])]
-            if weights[wmin_i] < best_w:
-                best_w = int(weights[wmin_i])
-                best_cw = tuple(int(x) for x in cw[wmin_i])
-    return best_w, best_cw
+            weights = np.count_nonzero(nz, axis=1)
+        if exclude is not None:
+            inside = ~block[:, :, wc:].reshape(len(block), -1).any(axis=1)
+            weights[inside] = n + 1
+        elif h == 0:
+            weights[0] = n + 1   # rows are independent: only message 0 is zero
+        i = int(np.argmin(weights))
+        if weights[i] < best_w:
+            best_w, best = int(weights[i]), block[i].copy()
+    if best is None:
+        return best_w, None
+    if p == 2:
+        digits = np.unpackbits(best[:, :wc].copy().view(np.uint8), axis=-1,
+                               bitorder="little")[:, :n]
+    else:
+        digits = best[:, :n]
+    cw = (digits.astype(np.int64) * (p ** np.arange(f.e))[:, None]).sum(axis=0)
+    return best_w, tuple(int(x) for x in cw)
 
 
 def _sampled_upper(code: LinearCode, samples: int = 2000, seed: int = 0):

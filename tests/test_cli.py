@@ -114,3 +114,30 @@ def test_negacyclic_build_and_hdual(runner, tmp_path):
     path.write_text(res.output)
     res = invoke(runner, ["code", "hdual", str(path)])
     assert res.exit_code == 0 and "[8,2]_81" in res.output
+
+
+def test_load_code_errors_exit_one(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    no_field = tmp_path / "nofield.json"
+    no_field.write_text('{"x": 1}')
+    not_json = tmp_path / "bad.json"
+    not_json.write_text("{not json")
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[1, 2]")
+    bad_field = tmp_path / "badfield.json"
+    bad_field.write_text('{"field": 3, "generator": [[1]]}')
+    for path in (missing, no_field, not_json, not_object, bad_field):
+        capsys.readouterr()
+        assert run_cli(["code", "distance", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot load {path}")
+        assert len(err.strip().splitlines()) == 1
+    assert run_cli(["code", "dual", str(no_field)]) == 1
+    assert "missing field 'field'" in capsys.readouterr().err
+    assert run_cli(["--catalog", str(tmp_path / "cat.jsonl"), "catalog", "put",
+                    missing, "--kind", "classical"]) == 1
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_must_be_positive(threads):
+    assert run_cli(["--threads", threads, "audit", "table4"]) == 2

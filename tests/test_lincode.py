@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qct import lincode
+from qct import gflinalg, lincode
 from qct.errors import CodeError, PreconditionError
 from qct.galois import build_field, get_embedding, standard_basis
 from qct.lincode import (LinearCode, code_from_json, direct_sum, expand_basis,
@@ -39,6 +39,85 @@ def naive_distance(code):
         w = sum(1 for x in word if x)
         best = w if best is None else min(best, w)
     return best
+
+
+def naive_first_minimum(code, exclude=None):
+    """Independent double-loop oracle: the minimum weight over nonzero
+    codewords outside `exclude`, and the first codeword of that weight with
+    messages in index order (row 0 the least-significant digit)."""
+    f, q, k = code.field, code.field.order, code.k
+    best_w, best = code.n + 1, None
+    for idx in range(1, q ** k):
+        word = [0] * code.n
+        for i in range(k):
+            m = idx // q ** i % q
+            if m:
+                for j in range(code.n):
+                    word[j] = f.add(word[j], f.mul(m, int(code.matrix[i, j])))
+        if exclude is not None and exclude.contains_word(word):
+            continue
+        w = sum(1 for x in word if x)
+        if 0 < w < best_w:
+            best_w, best = w, tuple(word)
+    return best_w, best
+
+
+def random_nested_pair(rng, f, k, n, density):
+    """A random [n, <=k] code c2 (sparse entries make weight ties likely)
+    and a random proper subcode c1, or None when the draw degenerates."""
+    mat = rng.integers(0, f.order, (k, n)) * (rng.random((k, n)) < density)
+    if not mat.any():
+        return None
+    c2 = LinearCode(f, mat)
+    if c2.k < 2:
+        return c2, None
+    mix = rng.integers(0, f.order, (int(rng.integers(1, c2.k)), c2.k))
+    sub = gflinalg.matmul(mix, c2.matrix, f)
+    if not sub.any():
+        return c2, None
+    c1 = LinearCode(f, sub)
+    return c2, (c1 if c1.k < c2.k else None)
+
+
+def check_against_oracle(c2, c1):
+    res = min_distance(LinearCode(c2.field, c2.matrix))
+    assert (res.value, res.witness) == naive_first_minimum(c2)
+    if c1 is not None:
+        rel = relative_min_weight(c2, c1)
+        assert (rel.value, rel.witness) == naive_first_minimum(c2, c1)
+
+
+@pytest.mark.parametrize("table_bytes", [None, 64])
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3),
+                                 (3, 2)])
+def test_kernel_first_minimum_matches_oracle(p, e, table_bytes, monkeypatch):
+    """Value and witness of both kernel uses, with the low table holding all
+    rows or, at 64 bytes, only some of them."""
+    if table_bytes is not None:
+        monkeypatch.setattr(lincode, "_TABLE_BYTES", table_bytes)
+    f = build_field(p, e)
+    rng = np.random.default_rng(100 * p + e)
+    kmax = max(2, int(np.log(600) / np.log(f.order)))
+    checked = 0
+    for _ in range(6):
+        k = int(rng.integers(2, kmax + 1))
+        pair = random_nested_pair(rng, f, k, int(rng.integers(k + 1, 14)),
+                                  density=rng.choice([0.3, 0.8]))
+        if pair is not None:
+            check_against_oracle(*pair)
+            checked += pair[1] is not None
+    assert checked >= 2
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 75])
+def test_kernel_binary_word_boundaries(n, monkeypatch):
+    """Binary lengths on either side of one and two uint64 words."""
+    monkeypatch.setattr(lincode, "_TABLE_BYTES", 256)
+    rng = np.random.default_rng(n)
+    for density in (0.1, 0.5):
+        c2, c1 = random_nested_pair(rng, F2, 7, n, density)
+        assert c1 is not None
+        check_against_oracle(c2, c1)
 
 
 def test_canonical_form_equality():
