@@ -85,6 +85,17 @@ class VerificationReport:
             yield f"  [{row.status}] {row.claim}"
 
 
+def _params(rec) -> tuple:
+    return (rec.n, rec.k, rec.dz.value, rec.dx.value)
+
+
+def _settled(rec) -> str:
+    """A rebuilt record that matches its row is confirmed only when both
+    distances are exact."""
+    return ("confirmed" if rec.dz.exact and rec.dx.exact
+            else "formula-consistent")
+
+
 def _map_rows(fn, rows, threads: int = 1):
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -102,7 +113,7 @@ def audit_table1(cap: int = DEFAULT_CAP, threads: int = 1) -> VerificationReport
         if code.k < 2 or 4 ** code.k > cap:
             continue
         rec = quantum.allone_aqc(code, cap)
-        if rec.dz_exactness == "exact":
+        if rec.dz.exact:
             derived[rec.k] = rec
     rows = []
     for kprime, dz in TABLE1_ROWS:
@@ -111,7 +122,7 @@ def audit_table1(cap: int = DEFAULT_CAP, threads: int = 1) -> VerificationReport
         if rec is None:
             rows.append(AuditRow(claim, "inconsistent",
                                  {"reason": f"no BCH code yields k'={kprime}"}))
-        elif (rec.dz, rec.dx) == (dz, 2):
+        elif (rec.dz.value, rec.dx.value) == (dz, 2):
             rows.append(AuditRow(claim, "confirmed",
                                  {"rebuilt": rec.to_json()}))
         else:
@@ -178,9 +189,8 @@ def _audit_table2_row(row, cap: int) -> AuditRow:
         for t in plausible:
             code = families.cyclic_code_from_defining_set(t, build_field(2, 2))
             rec = quantum.allone_aqc(code.puncture(), cap)
-            tried.append(rec.dz)
-            if (rec.n, rec.k, rec.dz, rec.dx) == (big_n, big_k, dz, 2) \
-                    and rec.dz_exactness == "exact":
+            tried.append(rec.dz.value)
+            if _params(rec) == (big_n, big_k, dz, 2) and rec.dz.exact:
                 return AuditRow(claim, "confirmed",
                                 {"defining_set": t.to_json(),
                                  "rebuilt": rec.to_json()})
@@ -212,7 +222,7 @@ def _table2_off_by_one(row, cap: int) -> dict:
         for t in cands:
             code = families.cyclic_code_from_defining_set(t, build_field(2, 2))
             res = min_distance(code.puncture(), cap)
-            if res.exactness == "exact" and res.value == dz:
+            if res.exact and res.value == dz:
                 return {"off_by_one_reading": note + " and the exact weight"}
     except FieldError:
         return {"off_by_one_reading": note + " (splitting field beyond cap)"}
@@ -230,10 +240,9 @@ def _audit_table3_row(row) -> AuditRow:
     n, k, dz, dx = row
     claim = f"[[{n},{k},{{{dz},{dx}}}]]_2"
     rec = quantum.lemma_bch1(10, dx, dz)
-    if (rec.n, rec.k, rec.dz, rec.dx) != (n, k, dz, dx):
+    if _params(rec) != (n, k, dz, dx):
         return AuditRow(claim, "inconsistent", {"rebuilt": rec.to_json()})
-    status = ("confirmed" if rec.dz_exactness == rec.dx_exactness == "exact"
-              else "formula-consistent")
+    status = _settled(rec)
     return AuditRow(claim, status,
                     {"rebuilt": rec.to_json(),
                      "note": "distances are BCH-bound lower bounds with "
@@ -308,11 +317,10 @@ def _audit_rs_example(row, cap: int) -> AuditRow:
                         {"reason": "exhaustive (k1,k2) search found no match"})
     k1, k2 = hits[0]
     rec = quantum.rs_direct_sum_aqc(q, k1, k2, cap)
-    ok = (rec.n, rec.k) == (n, k) and {rec.dz, rec.dx} == {dz, dx}
+    ok = (rec.n, rec.k) == (n, k) and {rec.dz.value, rec.dx.value} == {dz, dx}
     if not ok:
         return AuditRow(claim, "inconsistent", {"rebuilt": rec.to_json()})
-    status = ("confirmed" if rec.dz_exactness == rec.dx_exactness == "exact"
-              else "formula-consistent")
+    status = _settled(rec)
     return AuditRow(claim, status, {"k1_k2": [k1, k2],
                                     "rebuilt": rec.to_json()})
 
@@ -321,7 +329,7 @@ def _audit_bch_example(row) -> AuditRow:
     m, d1, n, k, dz, dx = row
     claim = f"[[{n},{k},{{{dz},{dx}}}]]_2"
     rec = quantum.lemma_bch1(m, d1, dz)
-    if (rec.n, rec.k, rec.dz, rec.dx) == (n, k, dz, dx):
+    if _params(rec) == (n, k, dz, dx):
         return AuditRow(claim, "formula-consistent",
                         {"rebuilt": rec.to_json()})
     return AuditRow(claim, "inconsistent", {"rebuilt": rec.to_json()})

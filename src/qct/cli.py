@@ -73,7 +73,7 @@ def _emit_aqc(rec, as_json: bool):
         _echo_json(rec.to_json())
     else:
         click.echo(f"{rec.label()} purity={rec.purity} "
-                   f"exact=({rec.dz_exactness},{rec.dx_exactness})")
+                   f"exact=({rec.dz.kind},{rec.dx.kind})")
 
 
 @click.group()
@@ -198,7 +198,7 @@ def code_distance(ctx, source, as_json):
     if as_json:
         _echo_json(res.to_json())
     else:
-        click.echo(f"d={res.value} ({res.exactness}, {res.method})")
+        click.echo(f"d={res.value} ({res.kind}, {res.method})")
 
 
 def _surgery(name):

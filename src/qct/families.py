@@ -52,8 +52,8 @@ def rs_code(q: int, k: int) -> LinearCode:
                     dtype=np.int64)
     code = LinearCode(field, rows, provenance=f"rs[{q - 1},{k}]_{q}",
                       design_distance=q - k)
-    code.distance_info = lincode.DistanceResult(
-        q - k, "exact", witness=lincode.mds_witness(code), method="mds_rank")
+    code.distance_info = lincode.Bound(q - k, "exact", "mds_rank",
+                                       witness=lincode.mds_witness(code))
     return code
 
 
@@ -159,10 +159,11 @@ def negacyclic_cs(q: int, n: int, s: int) -> LinearCode:
         t, field, provenance=f"negacyclic_cs(q={q},n={n},s={s})")
     if code.k != n - s // 2:
         raise CodeError(f"dimension {code.k} != expected {n - s // 2}")
-    if not lincode.is_mds(code):
+    # MDS certificate: the BCH bound of T meets the Singleton bound
+    if bch_bound(t) != code.n - code.k + 1:
         raise CodeError("negacyclic C_s is not MDS")
-    code.distance_info = lincode.DistanceResult(
-        s // 2 + 1, "exact", witness=lincode.mds_witness(code), method="mds_rank")
+    code.distance_info = lincode.Bound(s // 2 + 1, "exact", "mds_rank",
+                                       witness=lincode.mds_witness(code))
     hd = code.hermitian_dual()
     # cross-check the defining-set route against the matrix-level dual
     t_dual = polyalg.hermitian_dual_defining_set(t, q)
@@ -172,7 +173,3 @@ def negacyclic_cs(q: int, n: int, s: int) -> LinearCode:
     code.hermitian_containing = code.contains_code(hd)
     return code
 
-
-def import_code(record: dict) -> LinearCode:
-    """Canonicalize an externally supplied code record."""
-    return lincode.code_from_json(record)

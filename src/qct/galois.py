@@ -204,11 +204,6 @@ class Field:
             return 1 if k == 0 else 0
         return int(self.exp[(self.log[a] * k) % (self.order - 1)])
 
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("order of zero")
-        return (self.order - 1) // int(np.gcd(int(self.log[a]), self.order - 1))
-
     # -- vectorized arithmetic on numpy int arrays ----------------------------
     def vadd(self, a, b):
         a = np.asarray(a, dtype=np.int64)
@@ -335,8 +330,15 @@ def field_from_q(q: int) -> Field:
 
 
 def field_from_json(rec: dict) -> Field:
-    f = Field(rec["p"], rec["e"], list(rec["modulus"]), rec["generator"])
-    return f
+    """The cached build_field(p, e) when the record names its modulus and
+    generator, else a Field validated from the record."""
+    p, e = rec["p"], rec["e"]
+    modulus, generator = tuple(rec["modulus"]), rec["generator"]
+    if is_prime(p) and e >= 1 and p ** e <= SIZE_CAP:
+        f = build_field(p, e)
+        if (f.modulus, f.generator) == (modulus, generator):
+            return f
+    return Field(p, e, list(modulus), generator)
 
 
 class Embedding:
@@ -389,19 +391,11 @@ class Embedding:
         except KeyError:
             raise FieldError(f"element {x} of {self.ext} is not in {self.sub}")
 
-    def contains(self, x: int) -> bool:
-        return x in self._down
-
 
 @lru_cache(maxsize=None)
-def _cached_embedding(sub_key, ext_key):
-    return Embedding(field_from_json(dict(zip(("p", "e", "modulus", "generator"), sub_key))),
-                     field_from_json(dict(zip(("p", "e", "modulus", "generator"), ext_key))))
-
-
 def get_embedding(sub: Field, ext: Field) -> Embedding:
-    key = lambda f: (f.p, f.e, f.modulus, f.generator)
-    return _cached_embedding(key(sub), key(ext))
+    """The embedding GF(sub) -> GF(ext), one per pair of (value-equal) fields."""
+    return Embedding(sub, ext)
 
 
 def trace(x: int, emb: Embedding) -> int:
@@ -541,11 +535,3 @@ def find_self_dual_basis(sub: Field, ext: Field, seed: int = 0,
     assert basis.is_self_dual()
     return basis
 
-
-def conjugate(x: int, field: Field, q: int) -> int:
-    """Frobenius conjugation x -> x^q on GF(q^2)."""
-    if q ** 2 != field.order:
-        raise FieldError(f"GF({field.order}) is not GF({q}^2)")
-    if q % field.p != 0:
-        raise FieldError(f"{q} is not a power of the characteristic {field.p}")
-    return field.pow(x, q)

@@ -91,11 +91,3 @@ def inv_matrix(mat, field: Field):
         raise CodeError("matrix is singular")
     return r[:, n:]
 
-
-def solve(a, b, field: Field):
-    """Solve a @ x = b for square nonsingular a."""
-    ainv = inv_matrix(a, field)
-    b = np.asarray(b, dtype=np.int64)
-    if b.ndim == 1:
-        return matmul(ainv, b[:, None], field)[:, 0]
-    return matmul(ainv, b, field)

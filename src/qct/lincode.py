@@ -17,7 +17,8 @@ codeword lies outside C1 exactly when its syndrome digits are nonzero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -28,18 +29,38 @@ from .galois import ExtensionBasis, Field, build_field, field_from_json
 
 DEFAULT_CAP = 1 << 24
 _TABLE_BYTES = 1 << 22   # low-row combination table of _enumerate
+_KINDS = ("exact", "lower_bound", "upper_bound", "declared")
 
 
-@dataclass
-class DistanceResult:
+@dataclass(frozen=True)
+class Bound:
+    """A distance and how it is known.
+
+    `kind` is exact, lower_bound, upper_bound, or declared (a formula value
+    whose premises were not all verified).  Only an exact value carries a
+    witness codeword; only a non-exact one carries a sampled `upper` bound.
+    """
+
     value: int
-    exactness: str            # "exact" | "lower_bound" | "upper_bound"
+    kind: str
+    method: str       # enumeration | mds_rank | bch_bound | declared | ...
     witness: tuple | None = None
-    method: str = "enumeration"   # enumeration | mds_rank | bch_bound | declared
-    upper: int | None = None      # sampled upper bound, for non-exact results
+    upper: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise CodeError(f"unknown bound kind {self.kind!r}")
+        if self.witness is not None and not self.exact:
+            raise CodeError("only an exact bound carries a witness")
+        if self.upper is not None and self.exact:
+            raise CodeError("an exact bound carries no upper bound")
+
+    @property
+    def exact(self) -> bool:
+        return self.kind == "exact"
 
     def to_json(self) -> dict:
-        out = {"value": self.value, "exactness": self.exactness,
+        out = {"value": self.value, "exactness": self.kind,
                "method": self.method}
         if self.upper is not None:
             out["upper"] = self.upper
@@ -64,7 +85,7 @@ class LinearCode:
         # certified lower bound (e.g. BCH bound) / claimed-but-unverified value
         self.design_distance = design_distance
         self.declared_distance = declared_distance
-        self.distance_info: DistanceResult | None = None
+        self.distance_info: Bound | None = None
         self._dual = None
 
     @property
@@ -166,26 +187,21 @@ class LinearCode:
         return out
 
 
-def from_generator(field: Field, rows, provenance: str = "",
-                   design_distance: int | None = None,
-                   declared_distance: int | None = None) -> LinearCode:
-    return LinearCode(field, rows, provenance=provenance,
-                      design_distance=design_distance,
-                      declared_distance=declared_distance)
-
-
 def code_from_json(rec: dict) -> LinearCode:
+    """A code from its JSON record.  A stored `distance` block is not
+    trusted: min_distance derives it again.  Design and declared distances
+    must lie in 1..n-k+1 (Singleton)."""
     f = field_from_json(rec["field"])
     c = LinearCode(f, rec["generator"], provenance=rec.get("provenance", ""),
                    design_distance=rec.get("design_distance"),
                    declared_distance=rec.get("declared_distance"))
     if rec.get("k") is not None and c.k != rec["k"]:
         raise CodeError(f"record claims dimension {rec['k']}, matrix has rank {c.k}")
-    d = rec.get("distance")
-    if d:
-        c.distance_info = DistanceResult(d["value"], d["exactness"],
-                                         method=d.get("method", "declared"),
-                                         upper=d.get("upper"))
+    for key in ("design_distance", "declared_distance"):
+        d = rec.get(key)
+        if d is not None and not 1 <= d <= c.n - c.k + 1:
+            raise CodeError(f"record {key} {d} is outside 1..{c.n - c.k + 1} "
+                            f"for an [{c.n},{c.k}] code")
     return c
 
 
@@ -306,31 +322,35 @@ def _sampled_upper(code: LinearCode, samples: int = 2000, seed: int = 0):
     return best
 
 
-def min_distance(code: LinearCode, cap: int = DEFAULT_CAP) -> DistanceResult:
+def _bound_without_enumeration(code: LinearCode, upper=None) -> Bound:
+    """The lower bound known without enumeration: the design (BCH)
+    distance, or a larger declared distance, else 1."""
+    lower, method = 1, "declared"
+    if code.design_distance:
+        lower, method = code.design_distance, "bch_bound"
+    if code.declared_distance and code.declared_distance > lower:
+        lower, method = code.declared_distance, "declared"
+    return Bound(lower, "lower_bound", method, upper=upper)
+
+
+def min_distance(code: LinearCode, cap: int = DEFAULT_CAP) -> Bound:
     """Exact minimum distance by full enumeration when q^k <= cap, else a
     certified lower bound plus a sampled upper bound."""
     if code.k == 0:
         raise CodeError("minimum distance of the zero code is undefined")
-    if code.distance_info is not None and code.distance_info.exactness == "exact":
+    if code.distance_info is not None and code.distance_info.exact:
         return code.distance_info
     if code.field.order ** code.k <= cap:
         w, cw = _enumerate(code, None)
-        res = DistanceResult(w, "exact", witness=cw, method="enumeration")
+        res = Bound(w, "exact", "enumeration", witness=cw)
     else:
-        lower = 1
-        method = "declared"
-        if code.design_distance:
-            lower, method = code.design_distance, "bch_bound"
-        if code.declared_distance and code.declared_distance > lower:
-            lower, method = code.declared_distance, "declared"
-        res = DistanceResult(lower, "lower_bound", method=method,
-                             upper=_sampled_upper(code))
+        res = _bound_without_enumeration(code, upper=_sampled_upper(code))
     code.distance_info = res
     return res
 
 
 def relative_min_weight(c2: LinearCode, c1: LinearCode,
-                        cap: int = DEFAULT_CAP) -> DistanceResult:
+                        cap: int = DEFAULT_CAP) -> Bound:
     """Minimum weight over codewords of c2 that are not in c1."""
     if not c2.contains_code(c1):
         raise PreconditionError("inner code is not contained in the outer code")
@@ -338,20 +358,14 @@ def relative_min_weight(c2: LinearCode, c1: LinearCode,
         raise PreconditionError("relative weight needs proper nesting (k1 < k2)")
     if c2.field.order ** c2.k <= cap:
         w, cw = _enumerate(c2, c1)
-        return DistanceResult(w, "exact", witness=cw, method="enumeration")
-    lower = 1
-    method = "declared"
-    if c2.design_distance:
-        lower, method = c2.design_distance, "bch_bound"
-    if c2.declared_distance and c2.declared_distance > lower:
-        lower, method = c2.declared_distance, "declared"
-    return DistanceResult(lower, "lower_bound", method=method)
+        return Bound(w, "exact", "enumeration", witness=cw)
+    return _bound_without_enumeration(c2)
 
 
 def is_mds(code: LinearCode, subset_cap: int = 1_000_000) -> bool:
     """True iff every k-subset of generator columns is nonsingular."""
     n, k = code.n, code.k
-    if code.distance_info is not None and code.distance_info.exactness == "exact":
+    if code.distance_info is not None and code.distance_info.exact:
         return code.distance_info.value == n - k + 1
     if math.comb(n, k) > subset_cap:
         raise SearchCapExceeded(
@@ -410,21 +424,13 @@ class BasisExpander:
                 table[x, i] = v
         self.table = table
 
-    def psi(self, x: int):
-        return tuple(int(v) for v in self.table[x])
-
     def expand_vector(self, v):
         return self.table[np.asarray(v, dtype=np.int64)].reshape(-1)
 
 
-_expander_cache: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _expander(basis: ExtensionBasis) -> BasisExpander:
-    key = (basis.emb.sub, basis.emb.ext, basis.elements)
-    if key not in _expander_cache:
-        _expander_cache[key] = BasisExpander(basis)
-    return _expander_cache[key]
+    return BasisExpander(basis)
 
 
 def expand_basis(code: LinearCode, basis: ExtensionBasis) -> LinearCode:

@@ -237,25 +237,6 @@ def unity_root(ext: Field, root_order: int) -> int:
     return ext.pow(ext.generator, (ext.order - 1) // root_order)
 
 
-def minimal_polynomial(elt_exponent: int, n: int, field: Field,
-                       ext: Field | None = None) -> list[int]:
-    """Minimal polynomial over `field` of alpha^s, alpha a fixed primitive
-    n-th root of unity in the splitting field."""
-    if ext is None:
-        ext, emb = splitting_field(field, n)
-    else:
-        if (ext.order - 1) % n != 0:
-            raise PreconditionError(f"{n} does not divide |{ext}| - 1")
-        emb = get_embedding(field, ext)
-    alpha = unity_root(ext, n)
-    coset = cyclotomic_coset(n, field.order, elt_exponent % n)
-    poly = [1]
-    for j in coset.members:
-        root = ext.pow(alpha, j)
-        poly = poly_mul(poly, [ext.neg(root), 1], ext)
-    return [emb.down(c) for c in poly]
-
-
 def generator_from_defining_set(t: DefiningSet, field: Field) -> list[int]:
     """Generator polynomial g = prod over T of (x - alpha^i), assembled from
     minimal-polynomial factors over `field`; divides x^n -+ 1 exactly."""

@@ -8,14 +8,13 @@ in the provenance together with every verification the pipeline performed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from math import gcd
 
-from . import families, lincode, polyalg
+from . import families, lincode
 from .errors import CodeError, PreconditionError
-from .galois import (build_field, field_from_q, find_self_dual_basis,
-                     get_embedding, prime_power, self_dual_basis_exists,
-                     standard_basis)
-from .lincode import DEFAULT_CAP, LinearCode, min_distance, relative_min_weight
+from .galois import (build_field, field_from_q, get_embedding, prime_power,
+                     self_dual_basis_exists, standard_basis)
+from .lincode import (DEFAULT_CAP, Bound, LinearCode, min_distance,
+                      relative_min_weight)
 
 # codes longer than this are handled at formula/coset level only
 MATRIX_LIMIT = 127
@@ -27,48 +26,47 @@ class AqcParams:
 
     n: int
     k: int
-    dz: int
-    dx: int
+    dz: Bound
+    dx: Bound
     q: int
     purity: str = "unknown"          # pure | degenerate | unknown
-    dz_exactness: str = "exact"      # exact | lower_bound | declared
-    dx_exactness: str = "exact"
     provenance: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         if self.n < 1 or not 0 < self.k <= self.n:
             raise CodeError(f"invalid quantum parameters n={self.n}, k={self.k}")
-        if self.dz < self.dx:
+        if self.dz.value < self.dx.value:
             raise CodeError("AqcParams must be normalized with dz >= dx")
 
     def label(self) -> str:
-        return f"[[{self.n},{self.k},{{{self.dz},{self.dx}}}]]_{self.q}"
+        return (f"[[{self.n},{self.k},{{{self.dz.value},{self.dx.value}}}]]"
+                f"_{self.q}")
 
     def to_json(self) -> dict:
-        return {"n": self.n, "k": self.k, "dz": self.dz, "dx": self.dx,
-                "q": self.q, "purity": self.purity,
-                "exact": {"dz": self.dz_exactness, "dx": self.dx_exactness},
+        return {"n": self.n, "k": self.k, "dz": self.dz.value,
+                "dx": self.dx.value, "q": self.q, "purity": self.purity,
+                "exact": {"dz": self.dz.kind, "dx": self.dx.kind},
                 "provenance": self.provenance}
 
 
-def _normalize(da, da_exact, db, db_exact, prov):
+def _normalize(a: Bound, b: Bound, prov):
     """Order a distance pair as (dz, dx) = (max, min), noting a swap."""
-    if da >= db:
-        return da, da_exact, db, db_exact
+    if a.value >= b.value:
+        return a, b
     prov.setdefault("notes", []).append("swapped: raw pair had d_z < d_x")
-    return db, db_exact, da, da_exact
+    return b, a
 
 
-def _purity(dz, dx, dz_ex, dx_ex, d1, d2):
+def _purity(dz: Bound, dx: Bound, d1: Bound, d2: Bound):
     """Pure iff {dz,dx} = {d1,d2}; requires exact knowledge on all four."""
-    if None in (d1, d2) or dz_ex != "exact" or dx_ex != "exact":
+    if not (dz.exact and dx.exact and d1.exact and d2.exact):
         return "unknown"
-    return "pure" if {dz, dx} == {d1, d2} else "degenerate"
+    return ("pure" if {dz.value, dx.value} == {d1.value, d2.value}
+            else "degenerate")
 
 
-def _exact_or_none(code: LinearCode, cap: int):
-    res = min_distance(code, cap)
-    return res.value if res.exactness == "exact" else None
+def _declared(*values):
+    return [Bound(v, "declared", "formula") for v in values]
 
 
 def css_standard(c1: LinearCode, c2: LinearCode,
@@ -86,13 +84,11 @@ def css_standard(c1: LinearCode, c2: LinearCode,
     prov = {"construction": "css_standard",
             "inputs": [repr(c1), repr(c2)],
             "raw_pair": [wa.to_json(), wb.to_json()]}
-    dz, dz_ex, dx, dx_ex = _normalize(wa.value, wa.exactness,
-                                      wb.value, wb.exactness, prov)
-    d1 = _exact_or_none(c1, cap)
-    d2 = _exact_or_none(c2, cap)
+    dz, dx = _normalize(wa, wb, prov)
+    d1 = min_distance(c1, cap)
+    d2 = min_distance(c2, cap)
     return AqcParams(c1.n, c2.k - c1.k, dz, dx, c1.field.order,
-                     purity=_purity(dz, dx, dz_ex, dx_ex, d1, d2),
-                     dz_exactness=dz_ex, dx_exactness=dx_ex, provenance=prov)
+                     purity=_purity(dz, dx, d1, d2), provenance=prov)
 
 
 def css_hermitian(c1: LinearCode, c2: LinearCode,
@@ -117,11 +113,10 @@ def css_hermitian(c1: LinearCode, c2: LinearCode,
             "raw_pair": [r1.to_json(), r2.to_json()],
             "notes": ["k reads k_2 - dim C_1^(perp h) with "
                       "dim C_1^(perp h) = n - k_1"]}
-    dz, dz_ex, dx, dx_ex = _normalize(r1.value, r1.exactness,
-                                      r2.value, r2.exactness, prov)
-    purity = "pure" if dz_ex == dx_ex == "exact" else "unknown"
+    dz, dx = _normalize(r1, r2, prov)
+    purity = "pure" if dz.exact and dx.exact else "unknown"
     return AqcParams(c1.n, k, dz, dx, c1.field.conj_base, purity=purity,
-                     dz_exactness=dz_ex, dx_exactness=dx_ex, provenance=prov)
+                     provenance=prov)
 
 
 def allone_aqc(code: LinearCode, cap: int = DEFAULT_CAP) -> AqcParams:
@@ -133,13 +128,11 @@ def allone_aqc(code: LinearCode, cap: int = DEFAULT_CAP) -> AqcParams:
     res = min_distance(code, cap)
     prov = {"construction": "allone", "inputs": [repr(code)],
             "code_distance": res.to_json()}
-    dz, dz_ex, dx, dx_ex = _normalize(res.value, res.exactness, 2, "exact", prov)
-    d_rep = code.n  # the all-one subcode is a repetition-like [n,1,n] code
-    purity = _purity(dz, dx, dz_ex, dx_ex,
-                     d_rep if res.exactness == "exact" else None, res.value)
+    dz, dx = _normalize(res, Bound(2, "exact", "allone"), prov)
+    # the all-one subcode is a repetition-like [n,1,n] code
+    rep = Bound(code.n, "exact", "allone")
     return AqcParams(code.n, code.k - 1, dz, dx, code.field.order,
-                     purity=purity, dz_exactness=dz_ex, dx_exactness=dx_ex,
-                     provenance=prov)
+                     purity=_purity(dz, dx, rep, res), provenance=prov)
 
 
 def th_best_family(variant, arg, cap: int = DEFAULT_CAP):
@@ -156,7 +149,7 @@ def th_best_family(variant, arg, cap: int = DEFAULT_CAP):
         punct = code.puncture()
         if not punct.contains_allones() or punct.k != code.k:
             raise CodeError("punctured BCH code lost all-ones or rank")
-        if code.distance_info and code.distance_info.exactness != "exact":
+        if code.distance_info and not code.distance_info.exact:
             punct.declared_distance = max(1, code.distance_info.value - 1)
         p = allone_aqc(punct, cap)
         return full, p
@@ -215,8 +208,8 @@ def lemma_bch1(m: int, delta1: int, delta2: int, cap: int = DEFAULT_CAP,
             "delta": [delta1, delta2],
             "bounds": {"dz": bch_designed_bounds(m, delta2),
                        "dx": bch_designed_bounds(m, delta1)}}
-    dz_ex = dx_ex = "lower_bound"
-    dz, dx = delta2, delta1
+    dz = Bound(delta2, "lower_bound", "bch_bound")
+    dx = Bound(delta1, "lower_bound", "bch_bound")
     if n <= matrix_limit:
         f2 = build_field(2, 1)
         b1 = families.bch_narrow_sense(f2, n, delta1)
@@ -228,15 +221,14 @@ def lemma_bch1(m: int, delta1: int, delta2: int, cap: int = DEFAULT_CAP,
         prov["nesting"] = "verified"
         r2 = min_distance(b2, cap)
         r1 = min_distance(b1, cap)
-        if r2.exactness == "exact":
-            dz, dz_ex = r2.value, "exact"
-        if r1.exactness == "exact":
-            dx, dx_ex = r1.value, "exact"
+        if r2.exact:
+            dz = r2
+        if r1.exact:
+            dx = r1
     else:
         prov["nesting"] = "unverifiable-at-scale"
-    dz, dz_ex, dx, dx_ex = _normalize(dz, dz_ex, dx, dx_ex, prov)
-    return AqcParams(n, k, dz, dx, 2, dz_exactness=dz_ex, dx_exactness=dx_ex,
-                     provenance=prov)
+    dz, dx = _normalize(dz, dx, prov)
+    return AqcParams(n, k, dz, dx, 2, provenance=prov)
 
 
 def charpin_family(m: int, i: int, cap: int = DEFAULT_CAP) -> list[AqcParams]:
@@ -267,8 +259,7 @@ def charpin_family(m: int, i: int, cap: int = DEFAULT_CAP) -> list[AqcParams]:
     else:
         prov = {"construction": "charpin_family_1", "nesting": "failed",
                 "notes": ["B(delta)^perp not inside B_i; formula record only"]}
-        rec = AqcParams(n, k1f, delta, 5, 2, dz_exactness="declared",
-                        dx_exactness="declared", provenance=prov)
+        rec = AqcParams(n, k1f, *_declared(delta, 5), 2, provenance=prov)
     out.append(rec)
 
     # family 2
@@ -282,11 +273,26 @@ def charpin_family(m: int, i: int, cap: int = DEFAULT_CAP) -> list[AqcParams]:
             prov = {"construction": "charpin_family_2", "nesting": "failed",
                     "notes": ["B(delta) not inside B_i under the canonical "
                               "root choice; formula record only"]}
-            wt_upper = m * 2 ** (i - 1) + 1  # Singleton weight bound
-            rec2 = AqcParams(n, k2f, wt_upper, 5, 2, dz_exactness="declared",
-                             dx_exactness="declared", provenance=prov)
+            wt_upper = Bound(bounds("singleton_wt", m=m, delta=delta),
+                             "upper_bound", "singleton_wt")
+            rec2 = AqcParams(n, k2f, wt_upper, *_declared(5), 2,
+                             provenance=prov)
         out.append(rec2)
     return out
+
+
+def _formula_then_css(da: int, db: int, c1: LinearCode, c2: LinearCode,
+                      prov: dict, cap: int):
+    """The normalized (dz, dx) of a formula record, verified at matrix level:
+    the css_standard distances of C1 < C2 (with their raw pair and notes)
+    when q^k2 is within the cap, else the formula pair as declared."""
+    if c2.field.order ** c2.k > cap:
+        return _normalize(*_declared(da, db), prov)
+    rec = css_standard(c1, c2, cap)
+    prov["raw_pair"] = rec.provenance["raw_pair"]
+    if rec.provenance.get("notes"):
+        prov["notes"] = list(rec.provenance["notes"])
+    return rec.dz, rec.dx
 
 
 def rs_direct_sum_aqc(q: int, k1: int, k2: int,
@@ -312,18 +318,9 @@ def rs_direct_sum_aqc(q: int, k1: int, k2: int,
         raise CodeError("direct-sum dimensions disagree with formula")
     prov = {"construction": "rs_direct_sum", "q": q, "k1": k1, "k2": k2,
             "nesting": "verified", "dual_decomposition": "verified"}
-    dz, dx = q - k1, k2 + 1
-    dz_ex = dx_ex = "declared"
-    if q ** ds["big"].k <= cap:
-        rec = css_standard(ds["small"], ds["big"], cap)
-        prov["raw_pair"] = rec.provenance["raw_pair"]
-        if rec.provenance.get("notes"):
-            prov["notes"] = list(rec.provenance["notes"])
-        dz, dz_ex = rec.dz, rec.dz_exactness
-        dx, dx_ex = rec.dx, rec.dx_exactness
-    dz, dz_ex, dx, dx_ex = _normalize(dz, dz_ex, dx, dx_ex, prov)
-    return AqcParams(2 * q - 1, k, dz, dx, q, dz_exactness=dz_ex,
-                     dx_exactness=dx_ex, provenance=prov)
+    dz, dx = _formula_then_css(q - k1, k2 + 1, ds["small"], ds["big"], prov,
+                               cap)
+    return AqcParams(2 * q - 1, k, dz, dx, q, provenance=prov)
 
 
 def concat_expand_aqc(q: int, m: int, k1: int, k2: int,
@@ -353,18 +350,9 @@ def concat_expand_aqc(q: int, m: int, k1: int, k2: int,
         raise CodeError("expanded dimensions disagree with formula")
     prov = {"construction": "concat_expand", "q": q, "m": m,
             "k1": k1, "k2": k2, "nesting": "verified"}
-    dz, dx = 2 * (big_q - k1), 2 * (k2 + 1)
-    dz_ex = dx_ex = "declared"
-    if q ** e1.k <= cap:
-        rec = css_standard(e2, e1, cap)
-        prov["raw_pair"] = rec.provenance["raw_pair"]
-        if rec.provenance.get("notes"):
-            prov["notes"] = list(rec.provenance["notes"])
-        dz, dz_ex = rec.dz, rec.dz_exactness
-        dx, dx_ex = rec.dx, rec.dx_exactness
-    dz, dz_ex, dx, dx_ex = _normalize(dz, dz_ex, dx, dx_ex, prov)
-    return AqcParams((m + 1) * (big_q - 1), k, dz, dx, q,
-                     dz_exactness=dz_ex, dx_exactness=dx_ex, provenance=prov)
+    dz, dx = _formula_then_css(2 * (big_q - k1), 2 * (k2 + 1), e2, e1, prov,
+                               cap)
+    return AqcParams((m + 1) * (big_q - 1), k, dz, dx, q, provenance=prov)
 
 
 def quantum_concat_params(q: int, m: int, k1: int, k2: int,
@@ -389,9 +377,9 @@ def quantum_concat_params(q: int, m: int, k1: int, k2: int,
             "notes": ["distance is a lower bound D = d*d'",
                       "inner distance formula min{2(q^m-k-1), k} implemented "
                       "as stated; the asymmetric factor 2 is flagged"]}
+    d = Bound(big_d, "lower_bound", "concatenation")
     return AqcParams((m + 1) * (big_q - 1) * (big_q - 2), m * (k1 - k2),
-                     big_d, big_d, q, dz_exactness="lower_bound",
-                     dx_exactness="lower_bound", provenance=prov)
+                     d, d, q, provenance=prov)
 
 
 def negacyclic_expand_aqc(q: int, n: int, s: int, m: int) -> AqcParams:
@@ -423,9 +411,8 @@ def negacyclic_expand_aqc(q: int, n: int, s: int, m: int) -> AqcParams:
             "notes": ["theorem hypotheses conflict with the base-code lemma; "
                       "each is reported individually"]}
     da, db = 2 * (s // 2 + 1), 2 * (n - s // 2 + 1)
-    dz, dz_ex, dx, dx_ex = _normalize(da, "declared", db, "declared", prov)
-    return AqcParams((m + 1) * n, m * (n - s), dz, dx, q,
-                     dz_exactness=dz_ex, dx_exactness=dx_ex, provenance=prov)
+    dz, dx = _normalize(*_declared(da, db), prov)
+    return AqcParams((m + 1) * n, m * (n - s), dz, dx, q, provenance=prov)
 
 
 def bounds(kind: str, **args) -> int:

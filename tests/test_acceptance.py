@@ -28,7 +28,7 @@ def test_criterion_2_table3():
     dims = {}
     for d1 in (15, 11, 7, 3):
         rec = quantum.lemma_bch1(10, d1, 31)
-        dims[d1] = (rec.k, rec.dz, rec.dx)
+        dims[d1] = (rec.k, rec.dz.value, rec.dx.value)
     formula_ok = dims == {15: (803, 31, 15), 11: (823, 31, 11),
                           7: (843, 31, 7), 3: (863, 31, 3)}
     fast = time.time() - t0 < 1.0
@@ -79,7 +79,7 @@ def test_criterion_5_th_best_iii():
     m3 = quantum.th_best_family("simplex", 3)
     m4 = quantum.th_best_family("simplex", 4)
     rec_ok = m3.label() == "[[7,3,{3,2}]]_2" \
-        and m3.dz_exactness == m3.dx_exactness == "exact" \
+        and m3.dz.kind == m3.dx.kind == "exact" \
         and m4.label() == "[[15,4,{7,2}]]_2"
     report(5, shape_ok and rec_ok and time.time() - t0 < 1.0,
            "S_3=[7,3,4] in C_0=[7,4,3] gives [[7,3,{3,2}]]_2; m=4 gives "
@@ -129,11 +129,11 @@ def test_criterion_8_preparata_family():
     code = families.preparata_like_bi(5, 2)
     res = min_distance(code)
     code_ok = code.params() == (31, 21, 2) and res.value == 5 \
-        and res.exactness == "exact"
+        and res.kind == "exact"
     recs = quantum.charpin_family(5, 2)
     rec = recs[0]
-    rec_ok = (rec.n, rec.k, rec.dx) == (31, 11, 5) \
-        and rec.dx_exactness == "exact"
+    rec_ok = (rec.n, rec.k, rec.dx.value) == (31, 11, 5) \
+        and rec.dx.kind == "exact"
     report(8, code_ok and rec_ok and time.time() - t0 < 120,
            "B_2 at m=5 is [31,21,5] exact; charpin_family(5,2) emits "
            "[[31,11,{d_z1,5}]] with d_x=5 exact")

@@ -138,6 +138,35 @@ def test_load_code_errors_exit_one(tmp_path, capsys):
                     missing, "--kind", "classical"]) == 1
 
 
+def test_stored_distance_is_not_trusted(runner, tmp_path):
+    res = invoke(runner, ["code", "build", "rs", "--q", "4", "--k", "2",
+                          "--json"])
+    rec = json.loads(res.output)
+    rec["distance"] = {"value": 99, "exactness": "exact"}
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(rec))
+    res = invoke(runner, ["code", "distance", str(path)])
+    assert res.exit_code == 0
+    assert res.output.strip() == "d=2 (exact, enumeration)"
+
+
+@pytest.mark.parametrize("key,value", [("design_distance", 0),
+                                       ("design_distance", 4),
+                                       ("declared_distance", 99)])
+def test_out_of_range_distance_claim_exits_one(tmp_path, capsys, key, value):
+    # rs[3,2]_4 has Singleton bound n - k + 1 = 2
+    assert run_cli(["code", "build", "rs", "--q", "4", "--k", "2",
+                    "--json"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    rec[key] = value
+    path = tmp_path / "claim.json"
+    path.write_text(json.dumps(rec))
+    assert run_cli(["code", "distance", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{key} {value}" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_threads_must_be_positive(threads):
     assert run_cli(["--threads", threads, "audit", "table4"]) == 2

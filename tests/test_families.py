@@ -3,7 +3,7 @@ import pytest
 from qct import families, lincode
 from qct.errors import CodeError, PreconditionError
 from qct.galois import build_field, field_from_q
-from qct.lincode import is_mds, min_distance
+from qct.lincode import LinearCode, is_mds, min_distance
 from qct.polyalg import defining_set_closure, hermitian_dual_defining_set
 
 F2 = build_field(2, 1)
@@ -90,6 +90,9 @@ def test_negacyclic_hermitian_containment(q, n):
         td = hermitian_dual_defining_set(c.defining_set, q)
         assert c.hermitian_containing, (q, n, s)
         assert c.defining_set.exponents <= td.exponents, (q, n, s)
+        # the MDS certificate (BCH bound = Singleton) agrees with a full
+        # column-subset rank scan on a copy without the cached distance
+        assert is_mds(LinearCode(c.field, c.matrix)), (q, n, s)
 
 
 def test_negacyclic_cs_q5():
@@ -114,4 +117,4 @@ def test_cyclic_code_from_defining_set_design_distance():
 
 def test_import_code_roundtrip():
     c = families.rs_code(4, 2)
-    assert families.import_code(c.to_json()) == c
+    assert lincode.code_from_json(c.to_json()) == c

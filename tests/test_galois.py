@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qct.errors import FieldError
-from qct.galois import (ExtensionBasis, build_field, conjugate, field_from_json,
+from qct.galois import (ExtensionBasis, Field, build_field, field_from_json,
                         field_from_q, find_dual_basis, find_self_dual_basis,
                         get_embedding, is_prime, prime_power,
                         self_dual_basis_exists, standard_basis, trace)
@@ -56,7 +56,12 @@ def test_vectorized_matches_scalar():
 
 def test_field_json_roundtrip():
     f = build_field(2, 4)
-    assert field_from_json(f.to_json()) == f
+    assert field_from_json(f.to_json()) is f   # the cached build_field
+    # another modulus or generator is validated and built on its own
+    other = field_from_json(dict(f.to_json(), modulus=[1, 0, 0, 1, 1]))
+    assert other != f and other.order == 16
+    with pytest.raises(FieldError):
+        field_from_json(dict(f.to_json(), generator=1))
 
 
 def test_field_determinism_and_cache():
@@ -68,6 +73,9 @@ def test_embedding_tower():
     f2, f16 = build_field(2, 1), build_field(2, 4)
     emb = get_embedding(f2, f16)
     assert emb.up(1) == 1 and emb.down(1) == 1
+    # one embedding per pair of value-equal fields
+    f16_copy = Field(2, 4, list(f16.modulus), f16.generator)
+    assert f16_copy is not f16 and get_embedding(f2, f16_copy) is emb
     f4 = build_field(2, 2)
     emb2 = get_embedding(f4, f16)
     # embedding is a ring homomorphism
@@ -125,7 +133,7 @@ def test_conjugation_is_involution_on_gf9():
     f9 = build_field(3, 2)
     assert f9.is_square_order and f9.conj_base == 3
     for x in range(9):
-        assert conjugate(conjugate(x, f9, 3), f9, 3) == x
+        assert f9.conj(f9.conj(x)) == x
 
 
 def test_standard_basis_valid():

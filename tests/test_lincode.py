@@ -6,7 +6,7 @@ import pytest
 from qct import gflinalg, lincode
 from qct.errors import CodeError, PreconditionError
 from qct.galois import build_field, get_embedding, standard_basis
-from qct.lincode import (LinearCode, code_from_json, direct_sum, expand_basis,
+from qct.lincode import (Bound, LinearCode, code_from_json, direct_sum, expand_basis,
                          expand_with_parity, is_mds, mds_witness, min_distance,
                          relative_min_weight)
 
@@ -217,9 +217,23 @@ def test_enumeration_matches_naive_oracle_small():
 
 def test_distance_result_fields():
     res = min_distance(hamming())
-    assert res.exactness == "exact" and res.method == "enumeration"
+    assert res.kind == "exact" and res.method == "enumeration"
+    assert res.exact
     assert res.witness is not None
     assert sum(1 for x in res.witness if x) == res.value
+
+
+def test_bound_rejects_inconsistent_labels():
+    with pytest.raises(CodeError):
+        Bound(3, "probably", "enumeration")
+    with pytest.raises(CodeError):
+        Bound(3, "lower_bound", "bch_bound", witness=(1, 1, 1))
+    with pytest.raises(CodeError):
+        Bound(3, "exact", "enumeration", upper=4)
+    assert not Bound(3, "declared", "formula").exact
+    assert Bound(3, "lower_bound", "bch_bound", upper=4).to_json() == {
+        "value": 3, "exactness": "lower_bound", "method": "bch_bound",
+        "upper": 4}
 
 
 def test_expand_basis():
@@ -262,5 +276,5 @@ def test_sampled_upper_bound_on_large_code():
     mat = rng.integers(0, 2, (30, 40)).astype(np.int64)
     c = LinearCode(F2, mat)
     res = min_distance(c, cap=2 ** 10)
-    assert res.exactness == "lower_bound"
+    assert res.kind == "lower_bound"
     assert res.upper is None or res.upper >= res.value

@@ -5,9 +5,9 @@ from qct.galois import build_field, field_from_q
 from qct.polyalg import (DefiningSet, bch_bound, cyclotomic_coset,
                          defining_set_closure, defining_set_from_json,
                          generator_from_defining_set,
-                         hermitian_dual_defining_set, minimal_polynomial,
-                         odd_residues, poly_divmod, poly_eval, poly_mul,
-                         poly_xn_plus, splitting_field, unity_root)
+                         hermitian_dual_defining_set, odd_residues,
+                         poly_divmod, poly_eval, poly_mul, poly_xn_plus,
+                         splitting_field, unity_root)
 
 
 def test_poly_mul_divmod_roundtrip():
@@ -87,8 +87,9 @@ def test_splitting_field_and_unity_root():
 
 def test_minimal_polynomial_gf2():
     f2 = build_field(2, 1)
-    mp = minimal_polynomial(1, 7, f2)
-    # degree-3 irreducible factor of x^7 - 1 over GF(2)
+    t = DefiningSet("cyclic", 7, 2, frozenset({1, 2, 4}))
+    mp = generator_from_defining_set(t, f2)
+    # the coset {1, 2, 4} gives the degree-3 irreducible factor of x^7 - 1
     assert len(mp) == 4 and mp[-1] == 1
     x7 = poly_xn_plus(7, -1, f2)
     _, rem = poly_divmod(x7, mp, f2)

@@ -4,7 +4,7 @@ import pytest
 from qct import families, quantum
 from qct.errors import CodeError, PreconditionError
 from qct.galois import build_field
-from qct.lincode import LinearCode
+from qct.lincode import Bound, LinearCode
 from qct.quantum import AqcParams
 
 F2 = build_field(2, 1)
@@ -15,12 +15,16 @@ def hamming():
     return families.bch_narrow_sense(F2, 7, 3)
 
 
+def exact(d):
+    return Bound(d, "exact", "enumeration")
+
+
 def test_aqcparams_invariants():
     with pytest.raises(CodeError):
-        AqcParams(7, 3, 2, 3, 2)   # dz < dx rejected
+        AqcParams(7, 3, exact(2), exact(3), 2)   # dz < dx rejected
     with pytest.raises(CodeError):
-        AqcParams(7, 0, 3, 2, 2)
-    rec = AqcParams(7, 3, 3, 2, 2)
+        AqcParams(7, 0, exact(3), exact(2), 2)
+    rec = AqcParams(7, 3, exact(3), exact(2), 2)
     out = rec.to_json()
     assert out["exact"] == {"dz": "exact", "dx": "exact"}
     assert rec.label() == "[[7,3,{3,2}]]_2"
@@ -29,8 +33,8 @@ def test_aqcparams_invariants():
 def test_css_standard_repetition_hamming():
     rep = LinearCode(F2, np.ones((1, 7), dtype=np.int64))
     rec = quantum.css_standard(rep, hamming())
-    assert (rec.n, rec.k, rec.dz, rec.dx, rec.q) == (7, 3, 3, 2, 2)
-    assert rec.dz_exactness == rec.dx_exactness == "exact"
+    assert (rec.n, rec.k, rec.dz.value, rec.dx.value, rec.q) == (7, 3, 3, 2, 2)
+    assert rec.dz.kind == rec.dx.kind == "exact"
 
 
 def test_css_standard_requires_proper_nesting():
@@ -45,7 +49,7 @@ def test_css_standard_symmetric_case():
     # C1 = C2^perp gives a symmetric dz = dx record
     c2 = hamming()
     rec = quantum.css_standard(c2.dual(), c2)
-    assert rec.dz == rec.dx == 3
+    assert rec.dz.value == rec.dx.value == 3
 
 
 def test_css_hermitian_boundary():
@@ -53,7 +57,7 @@ def test_css_hermitian_boundary():
     c2 = LinearCode(F4, np.eye(2, dtype=np.int64))
     rec = quantum.css_hermitian(c1, c2)
     assert (rec.n, rec.k, rec.q) == (2, 1, 2)
-    assert {rec.dz, rec.dx} == {2, 1}
+    assert {rec.dz.value, rec.dx.value} == {2, 1}
     assert rec.purity == "pure"
 
 
@@ -100,14 +104,14 @@ def test_th_best_bch_pair():
     full, punct = quantum.th_best_family("bch", code)
     assert full.n == 15 and punct.n == 14
     assert full.k == punct.k == code.k - 1
-    assert punct.dz == full.dz - 1
+    assert punct.dz.value == full.dz.value - 1
 
 
 def test_lemma_bch1_table3_rows():
     for d1, k in ((15, 803), (11, 823), (7, 843), (3, 863)):
         rec = quantum.lemma_bch1(10, d1, 31)
-        assert (rec.n, rec.k, rec.dz, rec.dx) == (1023, k, 31, d1)
-        assert rec.dz_exactness == "lower_bound"
+        assert (rec.n, rec.k, rec.dz.value, rec.dx.value) == (1023, k, 31, d1)
+        assert rec.dz.kind == "lower_bound"
         bounds = rec.provenance["bounds"]
         assert bounds["dz"]["dual_carlitz_uchiyama_lower"] == 32
         assert bounds["dz"]["singleton_wt_upper"] == 151
@@ -130,8 +134,8 @@ def test_charpin_family_m5():
     recs = quantum.charpin_family(5, 2)
     assert len(recs) == 1   # second family has k = 0 and is not emitted
     rec = recs[0]
-    assert (rec.n, rec.k, rec.dx) == (31, 11, 5)
-    assert rec.dx_exactness == "exact"
+    assert (rec.n, rec.k, rec.dx.value) == (31, 11, 5)
+    assert rec.dx.kind == "exact"
     assert rec.provenance["nesting"] == "verified"
 
 
@@ -142,6 +146,9 @@ def test_charpin_family_m7():
     assert (recs[1].n, recs[1].k) == (127, 14)
     # the second-family containment fails computationally and is reported
     assert recs[1].provenance["nesting"] == "failed"
+    # its d_z = m*2^(i-1)+1 is the Singleton weight bound, an upper bound
+    assert recs[1].dz.kind == "upper_bound"
+    assert recs[1].label() == "[[127,14,{29,5}]]_2"
 
 
 def test_rs_direct_sum_aqc():
@@ -151,12 +158,12 @@ def test_rs_direct_sum_aqc():
     assert rec.provenance["dual_decomposition"] == "verified"
     rec = quantum.rs_direct_sum_aqc(4, 2, 1)
     assert (rec.n, rec.k) == (7, 2)
-    assert rec.dz_exactness == "exact"
+    assert rec.dz.kind == "exact"
 
 
 def test_rs_direct_sum_swap_note():
     rec = quantum.rs_direct_sum_aqc(4, 3, 1)
-    assert rec.dz >= rec.dx
+    assert rec.dz.value >= rec.dx.value
     assert any("swapped" in note for note in rec.provenance.get("notes", []))
 
 
@@ -177,8 +184,8 @@ def test_concat_expand_aqc_length186():
 def test_quantum_concat_params():
     rec = quantum.quantum_concat_params(4, 2, 13, 1, 7)
     assert (rec.n, rec.k) == (630, 24)
-    assert rec.dz == rec.dx == 28
-    assert rec.dz_exactness == "lower_bound"
+    assert rec.dz.value == rec.dx.value == 28
+    assert rec.dz.kind == "lower_bound"
     with pytest.raises(PreconditionError):
         quantum.quantum_concat_params(4, 2, 13, 1, 14)
 
