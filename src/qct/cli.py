@@ -77,8 +77,9 @@ def _emit_aqc(rec, as_json: bool):
 
 
 @click.group()
-@click.option("--cap", type=int, default=DEFAULT_CAP, envvar="QCT_CAP",
-              show_default=True, help="enumeration budget (codewords)")
+@click.option("--cap", type=click.IntRange(min=1), default=DEFAULT_CAP,
+              envvar="QCT_CAP", show_default=True,
+              help="enumeration budget (codewords)")
 @click.option("--seed", type=int, default=0, envvar="QCT_SEED",
               help="seed for randomized basis searches")
 @click.option("--catalog", "catalog_path", default=None, envvar="QCT_CATALOG",

@@ -8,29 +8,39 @@ from .errors import CodeError
 from .galois import Field
 
 
+def _add_outer(acc, coef, row, field: Field):
+    """acc + coef[:, None] * row, with one multiple of `row` computed per
+    distinct coefficient (over GF(2), a masked XOR)."""
+    if field.order == 2:
+        return acc ^ (coef[:, None] & row)
+    values, which = np.unique(coef, return_inverse=True)
+    return field.vadd(acc, field.vmul(values[:, None], row)[which])
+
+
 def rref(mat, field: Field):
-    """Reduced row echelon form. Returns (R, pivot_columns); zero rows dropped."""
-    a = np.array(mat, dtype=np.int64)
+    """Reduced row echelon form. Returns (R, pivot_columns); zero rows dropped.
+
+    Each pivot clears its column from every other row in one vectorized
+    update."""
+    a = np.array(mat, dtype=np.int64, order="C")
     if a.ndim != 2:
         raise CodeError("matrix must be two-dimensional")
     rows, cols = a.shape
     pivots = []
     r = 0
     for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i, c]:
-                piv = i
-                break
-        if piv is None:
+        piv = r + int(a[r:, c].argmax())   # any nonzero entry will do
+        if a[piv, c] == 0:
             continue
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
         if a[r, c] != 1:
             a[r] = field.vmul(field.inv(int(a[r, c])), a[r])
-        for i in range(rows):
-            if i != r and a[i, c]:
-                a[i] = field.vadd(a[i], field.vmul(field.neg(int(a[i, c])), a[r]))
+        others = a[:, c].nonzero()[0]
+        others = others[others != r]
+        if others.size:
+            a[others] = _add_outer(a[others], field.vneg(a[others, c]), a[r],
+                                   field)
         pivots.append(c)
         r += 1
         if r == rows:
@@ -43,15 +53,20 @@ def rank(mat, field: Field) -> int:
 
 
 def reduce_vector(r, pivots, v, field: Field):
-    """Residual of v after elimination against an rref matrix."""
+    """Residual of v after elimination against an rref matrix; v may be one
+    vector or a matrix whose rows are reduced together."""
     v = np.array(v, dtype=np.int64)
+    rows = v.reshape(-1, v.shape[-1])
     for i, c in enumerate(pivots):
-        if v[c]:
-            v = field.vadd(v, field.vmul(field.neg(int(v[c])), r[i]))
+        hit = rows[:, c].nonzero()[0]
+        if hit.size:
+            rows[hit] = _add_outer(rows[hit], field.vneg(rows[hit, c]), r[i],
+                                   field)
     return v
 
 
 def in_rowspace(r, pivots, v, field: Field) -> bool:
+    """True iff v (or every row of v) lies in the row space of r."""
     return not reduce_vector(r, pivots, v, field).any()
 
 
@@ -76,7 +91,7 @@ def matmul(a, b, field: Field):
         raise CodeError("matmul shape mismatch")
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     for k in range(a.shape[1]):
-        out = field.vadd(out, field.vmul(a[:, k:k + 1], b[k:k + 1, :]))
+        out = _add_outer(out, a[:, k], b[k], field)
     return out
 
 

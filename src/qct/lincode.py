@@ -12,11 +12,23 @@ least-significant message digit, and the witness is the first
 minimum-weight codeword in that order.  For the relative weight of C2 over
 C1, the syndrome columns G2.H1^T are appended to the generator, and a
 codeword lies outside C1 exactly when its syndrome digits are nonzero.
+
+Above the cap (q^k > cap) nothing is enumerated.  A Lee-Brickell
+information-set search (p <= 2, a fixed seed and a fixed number of
+information sets) looks for a light codeword in the same digit planes, and
+the result is exact only when that witness, checked to be in the code and
+outside C1, meets a certified lower bound: the design (BCH) distance, or
+d >= 2 when no weight-1 word lies in C2 \\ C1.  The exact methods are
+`witness_meets_bch_bound`, `witness_meets_no_weight_one` and, for a
+weight-1 word, `witness_meets_nonzero`.  Otherwise the result is a lower
+bound (method `bch_bound`, `no_weight_one` or `declared`) whose `upper` is
+the witness weight.  A declared distance is never a certificate.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -29,6 +41,8 @@ from .galois import ExtensionBasis, Field, build_field, field_from_json
 
 DEFAULT_CAP = 1 << 24
 _TABLE_BYTES = 1 << 22   # low-row combination table of _enumerate
+_SEARCH_SETS = 16        # information sets tried by _witness_search
+_SEARCH_BYTES = 1 << 18  # candidate block of _witness_search
 _KINDS = ("exact", "lower_bound", "upper_bound", "declared")
 
 
@@ -38,7 +52,9 @@ class Bound:
 
     `kind` is exact, lower_bound, upper_bound, or declared (a formula value
     whose premises were not all verified).  Only an exact value carries a
-    witness codeword; only a non-exact one carries a sampled `upper` bound.
+    witness codeword; only a non-exact one carries an `upper` bound, the
+    weight of a searched codeword that was checked to be in the code (and
+    outside the inner code, for a relative weight).
     """
 
     value: int
@@ -116,7 +132,8 @@ class LinearCode:
     def contains_code(self, inner: "LinearCode") -> bool:
         if inner.field != self.field or inner.n != self.n:
             raise CodeError("field/length mismatch")
-        return all(self.contains_word(r) for r in inner.matrix)
+        return gflinalg.in_rowspace(self.matrix, self.pivots, inner.matrix,
+                                    self.field)
 
     # -- duals ----------------------------------------------------------------
     def dual(self) -> "LinearCode":
@@ -235,29 +252,74 @@ def _digit_planes(f: Field, vals: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate(parts, axis=-1)
 
 
+def _plane_adder(p: int):
+    """Addition of digit planes: XOR of packed bits for p = 2, digitwise
+    addition mod p otherwise."""
+    if p == 2:
+        return np.bitwise_xor
+
+    def add(a, b):
+        s = a + b
+        np.subtract(s, p, out=s, where=s >= p)
+        return s
+    return add
+
+
+def _with_syndromes(code: LinearCode, exclude: LinearCode | None):
+    """The generator of `code`, with the syndrome columns G.H^T of `exclude`
+    appended when given: a codeword lies outside `exclude` exactly when its
+    syndrome digits are nonzero."""
+    g = code.matrix
+    if exclude is None:
+        return g
+    return np.concatenate(
+        [g, gflinalg.matmul(g, exclude.parity_check().T, code.field)], axis=1)
+
+
+def _weights(f: Field, block: np.ndarray, n: int, wc: int,
+             relative: bool) -> np.ndarray:
+    """Hamming weights of a block of digit-plane words; with `relative`,
+    words whose syndrome digits are all zero get weight n + 1."""
+    nz = block[:, 0, :wc]
+    for pl in range(1, f.e):
+        nz = nz | block[:, pl, :wc]
+    if f.p == 2:
+        bits = np.bitwise_count(nz)
+        weights = bits[:, 0].astype(np.int64)
+        for w in range(1, wc):   # cheaper than a reduction over words
+            weights += bits[:, w]
+    else:
+        weights = np.count_nonzero(nz, axis=1)
+    if relative:
+        inside = ~block[:, :, wc:].reshape(len(block), -1).any(axis=1)
+        weights[inside] = n + 1
+    return weights
+
+
+def _word(f: Field, planes: np.ndarray, n: int, wc: int) -> np.ndarray:
+    """The length-n field vector held in one word's digit planes."""
+    if f.p == 2:
+        digits = np.unpackbits(planes[:, :wc].copy().view(np.uint8), axis=-1,
+                               bitorder="little")[:, :n]
+    else:
+        digits = planes[:, :n]
+    scale = (f.p ** np.arange(f.e))[:, None]
+    return (digits.astype(np.int64) * scale).sum(axis=0)
+
+
 def _enumerate(code: LinearCode, exclude: LinearCode | None):
     """Minimum weight, and the first codeword of that weight in message-index
     order, over the nonzero codewords of `code` outside `exclude` (if given).
     The walk is described in the module docstring."""
     f = code.field
     p, q = f.p, f.order
-    g = code.matrix
-    k, n = g.shape
-    if exclude is not None:
-        g = np.concatenate(
-            [g, gflinalg.matmul(g, exclude.parity_check().T, f)], axis=1)
+    k, n = code.matrix.shape
+    g = _with_syndromes(code, exclude)
     # scaled[j, c] = digit planes of c * row j
     scaled = _digit_planes(f, f.vmul(np.arange(q)[:, None, None], g[None]),
                            n).transpose(1, 0, 2, 3)
     wc = -(-n // 64) if p == 2 else n   # words (or digits) of the codeword
-
-    if p == 2:
-        add = np.bitwise_xor
-    else:
-        def add(a, b):
-            s = a + b
-            np.subtract(s, p, out=s, where=s >= p)
-            return s
+    add = _plane_adder(p)
 
     t = 1
     while t < k and q ** (t + 1) * scaled[0, 0].nbytes <= _TABLE_BYTES:
@@ -275,67 +337,98 @@ def _enumerate(code: LinearCode, exclude: LinearCode | None):
             if d:
                 off = add(off, scaled[j, d])
         block = add(table, off)
-        nz = block[:, 0, :wc]
-        for pl in range(1, f.e):
-            nz = nz | block[:, pl, :wc]
-        if p == 2:
-            bits = np.bitwise_count(nz)
-            weights = bits[:, 0].astype(np.int64)
-            for w in range(1, wc):   # cheaper than a reduction over words
-                weights += bits[:, w]
-        else:
-            weights = np.count_nonzero(nz, axis=1)
-        if exclude is not None:
-            inside = ~block[:, :, wc:].reshape(len(block), -1).any(axis=1)
-            weights[inside] = n + 1
-        elif h == 0:
+        weights = _weights(f, block, n, wc, exclude is not None)
+        if exclude is None and h == 0:
             weights[0] = n + 1   # rows are independent: only message 0 is zero
         i = int(np.argmin(weights))
         if weights[i] < best_w:
             best_w, best = int(weights[i]), block[i].copy()
     if best is None:
         return best_w, None
-    if p == 2:
-        digits = np.unpackbits(best[:, :wc].copy().view(np.uint8), axis=-1,
-                               bitorder="little")[:, :n]
-    else:
-        digits = best[:, :n]
-    cw = (digits.astype(np.int64) * (p ** np.arange(f.e))[:, None]).sum(axis=0)
-    return best_w, tuple(int(x) for x in cw)
+    return best_w, tuple(int(x) for x in _word(f, best, n, wc))
 
 
-def _sampled_upper(code: LinearCode, samples: int = 2000, seed: int = 0):
-    rng = np.random.default_rng(seed)
+def _witness_search(code: LinearCode, exclude: LinearCode | None,
+                    target: int):
+    """Lee-Brickell search with p <= 2 (Lee & Brickell 1988).
+
+    Each of _SEARCH_SETS information sets comes from one column shuffle
+    (stdlib `random`, seed 0) and one rref, which gives a systematic
+    generator R.  Every word R_i + c.R_j (c in GF(q), j any row) is a
+    candidate; the lightest one outside `exclude` (nonzero when `exclude`
+    is None) is kept.  The search stops once its weight reaches `target`.
+    Returns (weight, word), the word in the code's own coordinates."""
     f = code.field
-    best = code.n
-    for _ in range(samples):
-        msg = rng.integers(0, f.order, size=code.k)
-        if not msg.any():
-            continue
-        cw = np.zeros(code.n, dtype=np.int64)
-        for j in range(code.k):
-            if msg[j]:
-                cw = f.vadd(cw, f.vmul(int(msg[j]), code.matrix[j]))
-        w = int(np.count_nonzero(cw))
-        if 0 < w < best:
-            best = w
-    return best
+    n = code.n
+    g = _with_syndromes(code, exclude)
+    wc = -(-n // 64) if f.p == 2 else n
+    add = _plane_adder(f.p)
+    rng = random.Random(0)
+    perm = list(range(n))
+    tail = list(range(n, g.shape[1]))
+    best_w, best = n + 1, None
+    for _ in range(_SEARCH_SETS):
+        rng.shuffle(perm)
+        r, _ = gflinalg.rref(g[:, perm + tail], f)
+        k = len(r)
+        # rows[(c - 1) * k + j] = digit planes of c * R_j
+        rows = _digit_planes(
+            f, f.vmul(np.arange(1, f.order)[:, None, None], r[None]), n)
+        rows = rows.reshape(-1, *rows.shape[2:])
+        table = np.concatenate([np.zeros_like(rows[:1]), rows])
+        step = max(1, _SEARCH_BYTES // table.nbytes)
+        for i in range(0, k, step):
+            block = add(rows[i:min(i + step, k), None], table[None])
+            block = block.reshape(-1, *table.shape[1:])
+            weights = _weights(f, block, n, wc, exclude is not None)
+            if exclude is None:
+                weights[weights == 0] = n + 1
+            j = int(np.argmin(weights))
+            if weights[j] < best_w:
+                best_w, best = int(weights[j]), np.empty(n, dtype=np.int64)
+                best[perm] = _word(f, block[j], n, wc)
+            if best_w <= target:
+                return best_w, best
+    return best_w, best
 
 
-def _bound_without_enumeration(code: LinearCode, upper=None) -> Bound:
-    """The lower bound known without enumeration: the design (BCH)
-    distance, or a larger declared distance, else 1."""
-    lower, method = 1, "declared"
-    if code.design_distance:
+def _bound_without_enumeration(code: LinearCode,
+                               exclude: LinearCode | None = None) -> Bound:
+    """The minimum weight of `code` (outside `exclude`, if given) without
+    enumeration: a certified lower bound, met or not by a searched witness.
+
+    The certificate is the design (BCH) distance, or d >= 2 when no
+    weight-1 word lies in the code outside `exclude`.  The result is exact
+    only when the witness, checked to be a codeword outside `exclude` of
+    the stated weight, meets that certificate.  Otherwise it is the larger
+    of the certificate and a declared distance the witness does not refute,
+    with the witness weight as `upper`.  A declared distance never makes a
+    result exact."""
+    # a weight-1 codeword is e_j, and then e_j is a row of the rref matrix
+    ones = [r for r in code.matrix if np.count_nonzero(r) == 1
+            and (exclude is None or not exclude.contains_word(r))]
+    lower, method = (1, "nonzero") if ones else (2, "no_weight_one")
+    if code.design_distance and code.design_distance > lower:
         lower, method = code.design_distance, "bch_bound"
-    if code.declared_distance and code.declared_distance > lower:
-        lower, method = code.declared_distance, "declared"
-    return Bound(lower, "lower_bound", method, upper=upper)
+    w, word = _witness_search(code, exclude, lower)
+    if (np.count_nonzero(word) != w or not code.contains_word(word)
+            or (exclude is not None and exclude.contains_word(word))):
+        raise CodeError("witness search returned an unchecked word")
+    if w < lower:
+        raise CodeError(f"a codeword of weight {w} refutes the {method} "
+                        f"lower bound {lower}")
+    if w == lower:
+        return Bound(w, "exact", f"witness_meets_{method}",
+                     witness=tuple(int(x) for x in word))
+    declared = code.declared_distance
+    if declared and lower < declared <= w:
+        lower, method = declared, "declared"
+    return Bound(lower, "lower_bound", method, upper=w)
 
 
 def min_distance(code: LinearCode, cap: int = DEFAULT_CAP) -> Bound:
-    """Exact minimum distance by full enumeration when q^k <= cap, else a
-    certified lower bound plus a sampled upper bound."""
+    """Exact minimum distance by full enumeration when q^k <= cap, else the
+    witness-search bound of _bound_without_enumeration."""
     if code.k == 0:
         raise CodeError("minimum distance of the zero code is undefined")
     if code.distance_info is not None and code.distance_info.exact:
@@ -344,14 +437,16 @@ def min_distance(code: LinearCode, cap: int = DEFAULT_CAP) -> Bound:
         w, cw = _enumerate(code, None)
         res = Bound(w, "exact", "enumeration", witness=cw)
     else:
-        res = _bound_without_enumeration(code, upper=_sampled_upper(code))
+        res = _bound_without_enumeration(code)
     code.distance_info = res
     return res
 
 
 def relative_min_weight(c2: LinearCode, c1: LinearCode,
                         cap: int = DEFAULT_CAP) -> Bound:
-    """Minimum weight over codewords of c2 that are not in c1."""
+    """Minimum weight over codewords of c2 that are not in c1: enumerated
+    when q^k2 <= cap, else the witness-search bound of
+    _bound_without_enumeration."""
     if not c2.contains_code(c1):
         raise PreconditionError("inner code is not contained in the outer code")
     if c1.k >= c2.k:
@@ -359,7 +454,7 @@ def relative_min_weight(c2: LinearCode, c1: LinearCode,
     if c2.field.order ** c2.k <= cap:
         w, cw = _enumerate(c2, c1)
         return Bound(w, "exact", "enumeration", witness=cw)
-    return _bound_without_enumeration(c2)
+    return _bound_without_enumeration(c2, c1)
 
 
 def is_mds(code: LinearCode, subset_cap: int = 1_000_000) -> bool:

@@ -219,12 +219,9 @@ def lemma_bch1(m: int, delta1: int, delta2: int, cap: int = DEFAULT_CAP,
         if not b1.contains_code(b2.dual()):
             raise PreconditionError("B(delta2)^perp is not inside B(delta1)")
         prov["nesting"] = "verified"
-        r2 = min_distance(b2, cap)
-        r1 = min_distance(b1, cap)
-        if r2.exact:
-            dz = r2
-        if r1.exact:
-            dx = r1
+        # wt(C1perp \ C2perp), wt(C2 \ C1) for C1 = B(delta2)^perp < B(delta1)
+        dz = relative_min_weight(b2, b1.dual(), cap)
+        dx = relative_min_weight(b1, b2.dual(), cap)
     else:
         prov["nesting"] = "unverifiable-at-scale"
     dz, dx = _normalize(dz, dx, prov)

@@ -170,3 +170,10 @@ def test_out_of_range_distance_claim_exits_one(tmp_path, capsys, key, value):
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_threads_must_be_positive(threads):
     assert run_cli(["--threads", threads, "audit", "table4"]) == 2
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_cap_must_be_positive(cap, capsys):
+    assert run_cli(["--cap", cap, "audit", "table4"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--cap" in err

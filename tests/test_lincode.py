@@ -271,10 +271,18 @@ def test_json_roundtrip():
     assert again.to_json()["generator"] == rec["generator"]
 
 
-def test_sampled_upper_bound_on_large_code():
+def test_witness_search_on_large_code():
+    """Above the cap: exact iff the checked witness meets the certified
+    bound, which for this code without a design distance is d >= 2."""
     rng = np.random.default_rng(3)
     mat = rng.integers(0, 2, (30, 40)).astype(np.int64)
     c = LinearCode(F2, mat)
     res = min_distance(c, cap=2 ** 10)
-    assert res.kind == "lower_bound"
-    assert res.upper is None or res.upper >= res.value
+    certified = 1 if any(np.count_nonzero(r) == 1 for r in c.matrix) else 2
+    w, word = lincode._witness_search(c, None, certified)
+    assert c.contains_word(word) and np.count_nonzero(word) == w
+    assert res.exact == (w == certified)
+    if res.exact:
+        assert res.value == w and res.witness == tuple(int(x) for x in word)
+    else:
+        assert res.value == certified and res.upper == w >= res.value

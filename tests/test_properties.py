@@ -1,16 +1,21 @@
 """Oracle-equivalence property suites: basis-expansion duality, defining-set
-versus matrix Hermitian duals, and enumeration versus a naive weight oracle."""
+versus matrix Hermitian duals, enumeration versus a naive weight oracle, the
+witness search versus enumeration, and the vectorized elimination versus a
+per-row reference."""
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from qct import families, lincode, polyalg
+from qct import families, gflinalg, lincode, polyalg
 from qct.errors import CodeError
 from qct.galois import (ExtensionBasis, build_field, find_dual_basis,
                         get_embedding, standard_basis)
-from qct.lincode import LinearCode, expand_basis, min_distance
+from qct.lincode import (LinearCode, expand_basis, min_distance,
+                         relative_min_weight)
 
 PAIRS = [((2, 1), (2, 2)), ((3, 1), (3, 2))]
 
@@ -139,3 +144,128 @@ def test_enumeration_equals_naive_oracle():
     assert len(pool) >= 40
     for c in pool:
         assert min_distance(c).value == naive_distance(c)
+
+
+# -- witness search versus enumeration ---------------------------------------
+
+def check_search(code, inner):
+    """Force the search (cap=1) and hold it to the enumerated weight."""
+    true_w, _ = lincode._enumerate(code, inner)
+    # a correct declared distance must never make a result exact
+    fresh = LinearCode(code.field, code.matrix, declared_distance=true_w)
+    res = (min_distance(fresh, cap=1) if inner is None
+           else relative_min_weight(code, inner, cap=1))
+    assert res.method != "enumeration"
+    weight_one = [r for r in code.matrix if np.count_nonzero(r) == 1
+                  and (inner is None or not inner.contains_word(r))]
+    certified = 1 if weight_one else 2
+    if res.exact:
+        assert res.value == true_w == certified
+        word = np.asarray(res.witness)
+        assert code.contains_word(word)
+        assert np.count_nonzero(word) == res.value
+        assert inner is None or not inner.contains_word(word)
+    else:
+        assert res.value <= true_w <= res.upper
+    w, word = lincode._witness_search(code, inner, target=0)
+    assert code.contains_word(word) and np.count_nonzero(word) == w >= true_w
+    assert inner is None or not inner.contains_word(word)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)]),
+       st.integers(0, 2 ** 32 - 1))
+def test_witness_search_against_enumeration(spec, seed):
+    """Absolute and relative weights of random codes with q^k <= 2^12."""
+    f = build_field(*spec)
+    rng = np.random.default_rng(seed)
+    kmax = int(np.floor(12 / np.log2(f.order)))
+    k = int(rng.integers(1, kmax + 1))
+    n = int(rng.integers(k + 1, 15))
+    density = rng.choice([0.3, 0.8])
+    mat = rng.integers(0, f.order, (k, n)) * (rng.random((k, n)) < density)
+    assume(mat.any())
+    c2 = LinearCode(f, mat)
+    check_search(c2, None)
+    if c2.k >= 2:
+        mix = rng.integers(0, f.order, (int(rng.integers(1, c2.k)), c2.k))
+        sub = gflinalg.matmul(mix, c2.matrix, f)
+        if sub.any() and LinearCode(f, sub).k < c2.k:
+            check_search(c2, LinearCode(f, sub))
+
+
+# -- vectorized elimination versus per-row references -------------------------
+
+def rref_per_row(mat, field):
+    """The per-row elimination that the vectorized rref replaced."""
+    a = np.array(mat, dtype=np.int64)
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = None
+        for i in range(r, rows):
+            if a[i, c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        if a[r, c] != 1:
+            a[r] = field.vmul(field.inv(int(a[r, c])), a[r])
+        for i in range(rows):
+            if i != r and a[i, c]:
+                a[i] = field.vadd(
+                    a[i], field.vmul(field.neg(int(a[i, c])), a[r]))
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a[:r], pivots
+
+
+def matmul_scalar(a, b, field):
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for i, j, t in itertools.product(*map(range, (*out.shape, a.shape[1]))):
+        out[i, j] = field.add(int(out[i, j]),
+                              field.mul(int(a[i, t]), int(b[t, j])))
+    return out
+
+
+@pytest.mark.parametrize("spec", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)])
+def test_rref_and_containment_match_per_row_oracles(spec):
+    """Square, tall, wide and rank-deficient matrices; batched containment
+    against word-by-word membership, on subcodes and on random codes."""
+    f = build_field(*spec)
+    rng = np.random.default_rng(sum(spec) * 31 + spec[1])
+    deficient = contained = refused = 0
+    for trial in range(40):
+        rows = int(rng.integers(1, 9))
+        cols = int(rng.integers(1, 9)) * (1 + trial % 3)   # some wide
+        mat = rng.integers(0, f.order, (rows, cols))
+        if trial % 2:
+            rank = int(rng.integers(1, min(rows, cols) + 1))
+            left = rng.integers(0, f.order, (rows, rank))
+            right = rng.integers(0, f.order, (rank, cols))
+            assert np.array_equal(gflinalg.matmul(left, right, f),
+                                  matmul_scalar(left, right, f))
+            mat = gflinalg.matmul(left, right, f)
+        r, pivots = gflinalg.rref(mat, f)
+        want_r, want_pivots = rref_per_row(mat, f)
+        assert np.array_equal(r, want_r) and pivots == want_pivots
+        deficient += len(pivots) < rows
+        if not mat.any():
+            continue
+        outer = LinearCode(f, mat)
+        mix = rng.integers(0, f.order, (int(rng.integers(1, 4)), outer.k))
+        for inner_rows in (gflinalg.matmul(mix, outer.matrix, f),
+                           rng.integers(0, f.order, (2, cols))):
+            if not inner_rows.any():
+                continue
+            inner = LinearCode(f, inner_rows)
+            got = outer.contains_code(inner)
+            assert got == all(outer.contains_word(w) for w in inner.matrix)
+            contained += got
+            refused += not got
+    assert deficient >= 10 and contained >= 10 and refused >= 5

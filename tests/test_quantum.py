@@ -4,7 +4,7 @@ import pytest
 from qct import families, quantum
 from qct.errors import CodeError, PreconditionError
 from qct.galois import build_field
-from qct.lincode import Bound, LinearCode
+from qct.lincode import Bound, LinearCode, relative_min_weight
 from qct.quantum import AqcParams
 
 F2 = build_field(2, 1)
@@ -118,9 +118,43 @@ def test_lemma_bch1_table3_rows():
 
 
 def test_lemma_bch1_desk_scale_m6():
+    """Both distances of [[63,39,{7,3}]]_2 are exact above the cap: each
+    searched witness meets the BCH bound and lies outside C1."""
     rec = quantum.lemma_bch1(6, 3, 7)
     assert (rec.n, rec.k) == (63, 39)
     assert rec.provenance["nesting"] == "verified"
+    assert (rec.dz.value, rec.dx.value) == (7, 3)
+    assert rec.dz.exact and rec.dx.exact
+    b3 = families.bch_narrow_sense(F2, 63, 3)
+    b7 = families.bch_narrow_sense(F2, 63, 7)
+    for d, outer, inner in ((rec.dz, b7, b3.dual()), (rec.dx, b3, b7.dual())):
+        assert d.method == "witness_meets_bch_bound"
+        assert sum(1 for x in d.witness if x) == d.value
+        assert outer.contains_word(d.witness)
+        assert not inner.contains_word(d.witness)
+
+
+@pytest.mark.parametrize("m,d1,d2", [(4, 3, 3), (5, 5, 5), (5, 5, 7),
+                                     (5, 7, 7)])
+def test_lemma_bch1_distances_are_relative_weights(m, d1, d2):
+    """Where q^k fits the cap, the distances equal the enumerated relative
+    weights wt(B(d2) minus B(d1)^perp) and wt(B(d1) minus B(d2)^perp); the
+    forced search (cap=1) agrees wherever it is exact."""
+    n = 2 ** m - 1
+    b1 = families.bch_narrow_sense(F2, n, d1)
+    b2 = families.bch_narrow_sense(F2, n, d2)
+    want = sorted([relative_min_weight(b2, b1.dual()).value,
+                   relative_min_weight(b1, b2.dual()).value])
+    rec = quantum.lemma_bch1(m, d1, d2)
+    assert rec.dz.exact and rec.dx.exact
+    assert [rec.dx.value, rec.dz.value] == want
+    searched = quantum.lemma_bch1(m, d1, d2, cap=1)
+    for got, full in ((searched.dz, rec.dz), (searched.dx, rec.dx)):
+        assert got.method != "enumeration"
+        if got.exact:
+            assert got.value == full.value
+        else:
+            assert got.value <= full.value <= got.upper
 
 
 def test_lemma_bch1_preconditions():
