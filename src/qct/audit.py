@@ -137,20 +137,25 @@ def audit_table1(cap: int = DEFAULT_CAP, threads: int = 1) -> VerificationReport
 def _bch_interval_closures(n: int) -> tuple:
     """The distinct GF(4) closures, not containing 0, of the exponent
     intervals mod n that avoid 0, in (width, start) order of first
-    appearance.  Cached: every Table 2 row of length n and its off-by-one
-    reading filter the same list."""
+    appearance.  A q-closed set is a union of cyclotomic cosets, so the
+    closure of [b, b + width) is the union of its members' GF(4) cosets,
+    each computed once as a bit mask; an interval that wraps contains 0, so
+    b runs over 1..n - width.  Cached: every Table 2 row of length n and its
+    off-by-one reading filter the same list."""
+    coset = [sum(1 << s for s in polyalg.cyclotomic_coset(n, 4, x).members)
+             for x in range(n)]
+    span = [0] * n   # span[b]: closure mask of the current interval at b
     out = []
     seen = set()
     for width in range(1, n):
-        for b in range(n):
-            raw = [(b + j) % n for j in range(width)]
-            if 0 in raw:
+        for b in range(1, n - width + 1):
+            span[b] |= coset[b + width - 1]
+            if span[b] in seen:
                 continue
-            t = polyalg.defining_set_closure(raw, "cyclic", n, 4)
-            if 0 in t.exponents or t.exponents in seen:
-                continue
-            seen.add(t.exponents)
-            out.append(t)
+            seen.add(span[b])
+            out.append(polyalg.DefiningSet(
+                "cyclic", n, 4,
+                frozenset(s for s in range(n) if span[b] >> s & 1)))
     return tuple(out)
 
 

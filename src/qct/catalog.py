@@ -43,23 +43,35 @@ class Catalog:
     def __init__(self, path: str = DEFAULT_PATH):
         self.path = path
         self._entries = {}
+        self.skipped_tail = None   # line number of a cut-short last line
+        self._at_line_start = True
         self._load()
 
     def _load(self):
-        if not os.path.exists(self.path):
-            return
+        """Read every entry.  An unparsable last line with no newline is a
+        write cut short: it is skipped and named in `skipped_tail`, and the
+        next put starts on a fresh line.  Any other bad line is an error."""
+        line = b""
         try:
-            with open(self.path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
+            with open(self.path, "rb") as fh:
+                for number, line in enumerate(fh, 1):
+                    if not line.strip():
                         continue
-                    rec = json.loads(line)
-                    self._entries[rec["id"]] = CatalogEntry(
-                        rec["id"], rec["kind"], rec["payload"],
-                        rec["created"], rec.get("inputs", []))
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+                    try:
+                        rec = json.loads(line.decode())
+                        self._entries[rec["id"]] = CatalogEntry(
+                            rec["id"], rec["kind"], rec["payload"],
+                            rec["created"], rec.get("inputs", []))
+                    except (ValueError, KeyError, TypeError) as exc:
+                        if line.endswith(b"\n"):
+                            raise QctError(f"cannot read catalog {self.path}: "
+                                           f"line {number}: {exc}")
+                        self.skipped_tail = number
+        except FileNotFoundError:
+            return
+        except OSError as exc:
             raise QctError(f"cannot read catalog {self.path}: {exc}")
+        self._at_line_start = not line or line.endswith(b"\n")
 
     def put(self, kind: str, payload: dict, inputs=()) -> CatalogEntry:
         if kind not in KINDS:
@@ -73,11 +85,24 @@ class Catalog:
             return self._entries[eid]
         entry = CatalogEntry(eid, kind, payload,
                              datetime.now(timezone.utc).isoformat(), inputs)
+        line = json.dumps(entry.to_json(), sort_keys=True) + "\n"
+        if not self._at_line_start:
+            line = "\n" + line
+        data = line.encode()
         try:
-            with open(self.path, "a") as fh:
-                fh.write(json.dumps(entry.to_json(), sort_keys=True) + "\n")
+            # one append-mode write, so a line is never split between calls
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT,
+                         0o666)
+            try:
+                written = os.write(fd, data)
+            finally:
+                os.close(fd)
         except OSError as exc:
             raise QctError(f"cannot write catalog {self.path}: {exc}")
+        if written != len(data):
+            raise QctError(f"cannot write catalog {self.path}: wrote "
+                           f"{written} of {len(data)} bytes")
+        self._at_line_start = True
         self._entries[eid] = entry
         return entry
 

@@ -384,10 +384,20 @@ def audit_cmd(ctx, table, as_json, as_csv):
         for line in report.lines():
             click.echo(line)
     if ctx.obj["catalog"]:
-        Catalog(ctx.obj["catalog"]).put("report", report.to_json())
+        _open_catalog(ctx).put("report", report.to_json())
 
 
 # -- catalog ------------------------------------------------------------------
+
+def _open_catalog(ctx) -> Catalog:
+    """The --catalog store; a skipped cut-short last line is reported on
+    stderr and does not change the exit code."""
+    cat = Catalog(ctx.obj["catalog"])
+    if cat.skipped_tail is not None:
+        click.echo(f"warning: catalog {cat.path}: skipped unterminated "
+                   f"line {cat.skipped_tail} (a cut-short write)", err=True)
+    return cat
+
 
 @main.group("catalog")
 @click.pass_context
@@ -403,7 +413,7 @@ def catalog_group(ctx):
               required=True)
 @click.pass_context
 def catalog_put(ctx, source, kind):
-    entry = Catalog(ctx.obj["catalog"]).put(kind, _read_json(source))
+    entry = _open_catalog(ctx).put(kind, _read_json(source))
     click.echo(entry.id)
 
 
@@ -411,14 +421,14 @@ def catalog_put(ctx, source, kind):
 @click.argument("eid")
 @click.pass_context
 def catalog_get(ctx, eid):
-    _echo_json(Catalog(ctx.obj["catalog"]).get(eid).to_json())
+    _echo_json(_open_catalog(ctx).get(eid).to_json())
 
 
 @catalog_group.command("list")
 @click.option("--kind", default=None)
 @click.pass_context
 def catalog_list(ctx, kind):
-    for entry in Catalog(ctx.obj["catalog"]).list(kind):
+    for entry in _open_catalog(ctx).list(kind):
         click.echo(f"{entry.id} {entry.kind}")
 
 
@@ -430,8 +440,8 @@ def catalog_list(ctx, kind):
 @click.option("--dx-min", type=int, default=None)
 @click.pass_context
 def catalog_search(ctx, n, k, q, dz_min, dx_min):
-    hits = Catalog(ctx.obj["catalog"]).search(n=n, k=k, q=q, dz_min=dz_min,
-                                              dx_min=dx_min)
+    hits = _open_catalog(ctx).search(n=n, k=k, q=q, dz_min=dz_min,
+                                     dx_min=dx_min)
     for entry in hits:
         _echo_json(entry.to_json())
 

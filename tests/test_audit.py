@@ -1,6 +1,6 @@
 import pytest
 
-from qct import audit
+from qct import audit, polyalg
 from qct.errors import QctError
 
 
@@ -15,6 +15,31 @@ def test_table1_all_confirmed():
     assert claims == {"[[15,2,{11,2}]]_4", "[[15,3,{10,2}]]_4",
                       "[[15,5,{7,2}]]_4", "[[15,7,{6,2}]]_4",
                       "[[15,8,{5,2}]]_4", "[[15,10,{3,2}]]_4"}
+
+
+def closures_by_defining_set_closure(n):
+    """The closure list as built before the coset map: one
+    defining_set_closure per interval, in (width, start) order."""
+    out, seen = [], set()
+    for width in range(1, n):
+        for b in range(n):
+            raw = [(b + j) % n for j in range(width)]
+            if 0 in raw:
+                continue
+            t = polyalg.defining_set_closure(raw, "cyclic", n, 4)
+            if 0 in t.exponents or t.exponents in seen:
+                continue
+            seen.add(t.exponents)
+            out.append(t)
+    return out
+
+
+def test_interval_closures_match_defining_set_closure():
+    lengths = sorted({row[0] + 1 for row in audit.TABLE2_ROWS})
+    assert lengths[0] == 15 and lengths[-1] == 65
+    for n in lengths:
+        assert list(audit._bch_interval_closures(n)) == \
+            closures_by_defining_set_closure(n)
 
 
 def test_table2_classification():

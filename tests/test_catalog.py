@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -64,3 +65,52 @@ def test_corrupt_file_surfaced_with_path(tmp_path):
 
 def test_id_deterministic_over_key_order():
     assert payload_id({"a": 1, "b": 2}) == payload_id({"b": 2, "a": 1})
+
+
+def test_truncated_tail_is_skipped_and_next_put_starts_fresh(tmp_path):
+    path = tmp_path / "cat.jsonl"
+    cat = Catalog(str(path))
+    kept = cat.put("quantum", {"n": 7, "k": 1, "q": 2, "dz": 3, "dx": 3})
+    with open(path, "ab") as fh:   # a write cut short mid-line
+        fh.write(b'{"id": "abc", "kind": "quan')
+    again = Catalog(str(path))
+    assert again.skipped_tail == 2
+    assert [e.id for e in again.list()] == [kept.id]
+    added = again.put("classical", {"n": 3, "k": 2})
+    lines = path.read_bytes().split(b"\n")
+    assert lines[1] == b'{"id": "abc", "kind": "quan' and lines[-1] == b""
+    assert json.loads(lines[2])["id"] == added.id
+    # the cut-short line is now terminated, so it is an error like any other
+    with pytest.raises(QctError, match="line 2"):
+        Catalog(str(path))
+
+
+def test_unterminated_valid_last_line_is_kept(tmp_path):
+    path = tmp_path / "cat.jsonl"
+    first = Catalog(str(path)).put("classical", {"n": 5})
+    path.write_bytes(path.read_bytes().rstrip(b"\n"))
+    cat = Catalog(str(path))
+    assert cat.skipped_tail is None and cat.get(first.id)
+    second = cat.put("classical", {"n": 6})
+    assert {e.id for e in Catalog(str(path)).list()} == {first.id, second.id}
+
+
+@pytest.mark.parametrize("text", ['not json\n{"id": 1}\n', "[1]\n",
+                                  '{"id": "x"}\n'])
+def test_corrupt_inner_line_is_an_error(tmp_path, text):
+    path = tmp_path / "cat.jsonl"
+    path.write_text(text)
+    with pytest.raises(QctError, match="line 1"):
+        Catalog(str(path))
+
+
+def test_put_is_one_write_call(tmp_path, monkeypatch):
+    """A long report line goes to the file in a single os.write."""
+    calls = []
+    real = os.write
+    monkeypatch.setattr(os, "write", lambda fd, b: calls.append(len(b))
+                        or real(fd, b))
+    path = tmp_path / "cat.jsonl"
+    entry = Catalog(str(path)).put("report", {"rows": ["x" * 200_000]})
+    assert len(calls) == 1 and calls[0] == path.stat().st_size
+    assert Catalog(str(path)).get(entry.id).payload["rows"][0] == "x" * 200_000

@@ -3,7 +3,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from qct import families
 from qct.cli import main, run_cli
+from qct.galois import build_field
+from qct.lincode import min_distance
 
 
 @pytest.fixture
@@ -177,3 +180,54 @@ def test_cap_must_be_positive(cap, capsys):
     assert run_cli(["--cap", cap, "audit", "table4"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--cap" in err
+
+
+def test_catalog_truncated_tail_warns_on_one_line(tmp_path, capsys):
+    cat = tmp_path / "cat.jsonl"
+    payload = tmp_path / "p.json"
+    payload.write_text('{"n": 7, "k": 1, "q": 2, "dz": 3, "dx": 3}')
+    assert run_cli(["--catalog", str(cat), "catalog", "put", str(payload),
+                    "--kind", "quantum"]) == 0
+    eid = capsys.readouterr().out.strip()
+    with open(cat, "ab") as fh:
+        fh.write(b'{"id": "cut')
+    assert run_cli(["--catalog", str(cat), "catalog", "get", eid]) == 0
+    out = capsys.readouterr()
+    assert json.loads(out.out)["id"] == eid
+    assert out.err.startswith("warning: catalog ") and "line 2" in out.err
+    assert len(out.err.strip().splitlines()) == 1
+    # a put terminates the cut line; it is then a corrupt inner line
+    payload.write_text('{"n": 9}')
+    assert run_cli(["--catalog", str(cat), "catalog", "put", str(payload),
+                    "--kind", "classical"]) == 0
+    capsys.readouterr()
+    assert run_cli(["--catalog", str(cat), "catalog", "list"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read catalog") and "line 2" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_loaded_design_distance_never_certifies(tmp_path, capsys):
+    """A stored design distance is only declared: a loaded BCH record never
+    reports witness_meets_bch_bound, while the code built in process does."""
+    built = families.bch_narrow_sense(build_field(2, 1), 15, 5)
+    assert min_distance(built, cap=1).method == "witness_meets_bch_bound"
+    assert run_cli(["code", "build", "bch", "--q", "2", "--n", "15",
+                    "--delta", "5", "--json"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["design_distance"] == 5
+    path = tmp_path / "bch.json"
+    for design, declared in ((5, None), (6, None), (4, 6), (6, 4)):
+        rec["design_distance"] = design
+        rec.pop("declared_distance", None)
+        if declared is not None:
+            rec["declared_distance"] = declared
+        path.write_text(json.dumps(rec))
+        assert run_cli(["--cap", "1", "code", "distance", str(path),
+                        "--json"]) == 0
+        res = json.loads(capsys.readouterr().out)
+        assert res["method"] != "witness_meets_bch_bound"
+        assert res["exactness"] == "lower_bound" and res["upper"] == 5
+        # the larger stored value is declared; 6 is refuted by the witness
+        want = 5 if max(design, declared or 0) == 5 else 2
+        assert res["value"] == want

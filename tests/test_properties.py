@@ -1,9 +1,11 @@
 """Oracle-equivalence property suites: basis-expansion duality, defining-set
 versus matrix Hermitian duals, enumeration versus a naive weight oracle, the
 witness search versus enumeration, and the vectorized elimination versus a
-per-row reference."""
+per-row reference, and the scalar-class walk of the enumeration kernel
+versus the naive first-minimum oracle."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from qct.galois import (ExtensionBasis, build_field, find_dual_basis,
                         get_embedding, standard_basis)
 from qct.lincode import (LinearCode, expand_basis, min_distance,
                          relative_min_weight)
+from test_lincode import naive_first_minimum
 
 PAIRS = [((2, 1), (2, 2)), ((3, 1), (3, 2))]
 
@@ -144,6 +147,35 @@ def test_enumeration_equals_naive_oracle():
     assert len(pool) >= 40
     for c in pool:
         assert min_distance(c).value == naive_distance(c)
+
+
+# -- scalar-class walk versus the naive oracle --------------------------------
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([(3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]),
+       st.sampled_from([64, 200]), st.integers(0, 2 ** 32 - 1))
+def test_scalar_class_walk_against_naive_oracle(spec, table_bytes, seed):
+    """Value and witness, absolute and relative, with a low table small
+    enough that the high walk spans several top-digit positions."""
+    f = build_field(*spec)
+    rng = np.random.default_rng(seed)
+    kmax = max(3, int(np.log(600) / np.log(f.order)))
+    k = int(rng.integers(3, kmax + 1))
+    n = int(rng.integers(k + 1, 12))
+    mat = rng.integers(0, f.order, (k, n)) * (rng.random((k, n)) < 0.5)
+    assume(mat.any())
+    c2 = LinearCode(f, mat)
+    inner = None
+    if c2.k >= 2:
+        mix = rng.integers(0, f.order, (int(rng.integers(1, c2.k)), c2.k))
+        sub = gflinalg.matmul(mix, c2.matrix, f)
+        if sub.any() and LinearCode(f, sub).k < c2.k:
+            inner = LinearCode(f, sub)
+    with mock.patch.object(lincode, "_TABLE_BYTES", table_bytes):
+        assert lincode._enumerate(c2, None) == naive_first_minimum(c2)
+        if inner is not None:
+            assert (lincode._enumerate(c2, inner)
+                    == naive_first_minimum(c2, inner))
 
 
 # -- witness search versus enumeration ---------------------------------------
