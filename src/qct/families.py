@@ -12,7 +12,7 @@ from math import gcd
 import numpy as np
 
 from . import lincode, polyalg
-from .errors import CodeError, PreconditionError
+from .errors import CodeError, FieldError, PreconditionError
 from .galois import Field, field_from_q
 from .lincode import LinearCode
 from .polyalg import (DefiningSet, bch_bound, defining_set_closure,
@@ -135,8 +135,8 @@ def negacyclic_cs(q: int, n: int, s: int) -> LinearCode:
     try:
         from .galois import prime_power
         p, e = prime_power(q)
-    except Exception:
-        violations.append(f"q={q} is not a prime power")
+    except FieldError as exc:
+        violations.append(f"q={q}: {exc}")
     if p is not None and q % 2 == 0:
         violations.append(f"q={q} must be odd")
     if q % 4 != 1:

@@ -50,8 +50,26 @@ def factorize(n: int) -> list[int]:
     return out
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_size(p, e):
+    """Reject (p, e) unless both are integers, e >= 1 and p^e <= SIZE_CAP.
+    Runs before any primality test or p ** e, so a huge p or e fails at once."""
+    if not (_is_int(p) and _is_int(e)):
+        raise FieldError(f"field parameters p={p!r}, e={e!r} must be integers")
+    if e < 1:
+        raise FieldError(f"degree {e} must be positive")
+    if p > SIZE_CAP or e > SIZE_CAP.bit_length() or p ** e > SIZE_CAP:
+        raise FieldError(f"field order {p}^{e} exceeds size cap {SIZE_CAP}")
+
+
 def prime_power(q: int) -> tuple[int, int]:
-    """Split a prime power q into (p, e). Raises FieldError otherwise."""
+    """Split a prime power q <= SIZE_CAP into (p, e). Raises FieldError
+    otherwise."""
+    if q > SIZE_CAP:
+        raise FieldError(f"field order {q} exceeds size cap {SIZE_CAP}")
     for p in factorize(q):
         e = 0
         n = q
@@ -124,26 +142,53 @@ def _pack(digits, p):
     return x
 
 
+def _mul_raw(a, b, p, modulus):
+    """a * b in GF(p)[x] / (modulus), by polynomial arithmetic (no tables)."""
+    e = len(modulus) - 1
+    prod = _pmul(_digits(a, p, e), _digits(b, p, e), p)
+    return _pack(_pmod(prod, list(modulus), p), p)
+
+
+def _check_record(p, e, modulus, generator):
+    """Validate a field's parameters before anything is built from them:
+    the size rules of `_check_size`, a prime p, a monic modulus of degree e
+    with integer coefficients in 0..p-1, and an integer generator in 1..q-1."""
+    _check_size(p, e)
+    if not is_prime(p):
+        raise FieldError(f"characteristic {p} is not prime")
+    if len(modulus) != e + 1 or modulus[e] != 1:
+        raise FieldError("modulus must be monic of degree e")
+    if not all(_is_int(c) and 0 <= c < p for c in modulus):
+        raise FieldError(f"modulus coefficients {list(modulus)} must be "
+                         f"integers in 0..{p - 1}")
+    if not (_is_int(generator) and 1 <= generator < p ** e):
+        raise FieldError(f"generator {generator!r} must be an integer in "
+                         f"1..{p ** e - 1}")
+
+
 class Field:
     """GF(p^e) with fixed modulus and primitive generator.
 
-    Multiplication uses log/antilog tables indexed by the generator;
-    addition works digit-wise in base p (XOR when p = 2).
+    Multiplication uses log/antilog tables indexed by the generator g.
+    They come from the map x -> g*x over all q elements, formed in one numpy
+    pass from the images of the e basis monomials, since multiplying by g is
+    GF(p)-linear; the chain 1, g, g^2, ... is then q - 1 lookups in that map.
+    Addition works digit-wise in base p (XOR when p = 2).
+
+    The parameters are validated before any table is built: integers with
+    e >= 1 and p^e <= SIZE_CAP (checked before p is tested for primality),
+    a prime p, a monic irreducible modulus of degree e with integer
+    coefficients in 0..p-1, and an integer generator in 1..q-1 whose powers
+    reach every nonzero element.  Anything else raises FieldError.
     """
 
     def __init__(self, p: int, e: int, modulus: list[int], generator: int):
-        if not is_prime(p):
-            raise FieldError(f"characteristic {p} is not prime")
-        if e < 1:
-            raise FieldError("degree must be positive")
-        if p ** e > SIZE_CAP:
-            raise FieldError(f"field order {p}^{e} exceeds size cap {SIZE_CAP}")
+        modulus = tuple(modulus)
+        _check_record(p, e, modulus, generator)
         self.p = p
         self.e = e
         self.order = p ** e
-        self.modulus = tuple(modulus)
-        if len(self.modulus) != e + 1 or self.modulus[e] != 1:
-            raise FieldError("modulus must be monic of degree e")
+        self.modulus = modulus
         if not _poly_is_irreducible(list(self.modulus), p):
             raise FieldError("modulus is reducible")
         self.generator = generator
@@ -151,23 +196,30 @@ class Field:
         if self.log[generator] != 1 and self.order > 2:
             raise FieldError("generator table construction failed")
 
-    # internal raw multiplication, used to bootstrap the log tables
-    def _mul_raw(self, a: int, b: int) -> int:
-        prod = _pmul(_digits(a, self.p, self.e), _digits(b, self.p, self.e), self.p)
-        return _pack(_pmod(prod, list(self.modulus), self.p), self.p)
-
     def _build_tables(self):
-        q = self.order
-        exp = np.zeros(q - 1, dtype=np.int64)
+        p, e, q = self.p, self.e, self.order
+        images = [_mul_raw(p ** i, self.generator, p, self.modulus)
+                  for i in range(e)]
+        x = np.arange(q, dtype=np.int64)
+        if p == 2:
+            times_g = np.zeros(q, dtype=np.int64)
+            for i, image in enumerate(images):
+                times_g ^= ((x >> i) & 1) * image
+        else:
+            weights = p ** np.arange(e, dtype=np.int64)
+            digits = (x[:, None] // weights) % p
+            image_digits = (np.array(images, dtype=np.int64)[:, None]
+                            // weights) % p
+            times_g = ((digits @ image_digits) % p) @ weights
+        step = times_g.tolist()
+        chain = [1]
+        for _ in range(q - 2):
+            chain.append(step[chain[-1]])
+        exp = np.array(chain, dtype=np.int64)
         log = np.full(q, -1, dtype=np.int64)
-        x = 1
-        for i in range(q - 1):
-            exp[i] = x
-            if log[x] != -1:
-                raise FieldError(f"generator {self.generator} is not primitive")
-            log[x] = i
-            x = self._mul_raw(x, self.generator)
-        if x != 1:
+        log[exp] = np.arange(q - 1)
+        # a non-primitive g returns to 1 early, so some element gets no log
+        if step[chain[-1]] != 1 or (log[1:] < 0).any():
             raise FieldError(f"generator {self.generator} is not primitive")
         self.exp = exp
         self.log = log
@@ -295,26 +347,21 @@ def _lowest_irreducible(p: int, e: int) -> list[int]:
 @lru_cache(maxsize=None)
 def build_field(p: int, e: int) -> Field:
     """Deterministic GF(p^e): lowest-lex modulus, smallest primitive generator."""
+    _check_size(p, e)
     if not is_prime(p):
         raise FieldError(f"{p} is not prime")
-    if p ** e > SIZE_CAP:
-        raise FieldError(f"field order {p}^{e} exceeds size cap {SIZE_CAP}")
     modulus = _lowest_irreducible(p, e)
     q = p ** e
     if q == 2:
         return Field(2, 1, modulus, 1)
     factors = factorize(q - 1)
 
-    def mul_raw(a, b):
-        prod = _pmul(_digits(a, p, e), _digits(b, p, e), p)
-        return _pack(_pmod(prod, modulus, p), p)
-
     def pow_raw(a, k):
         r = 1
         while k:
             if k & 1:
-                r = mul_raw(r, a)
-            a = mul_raw(a, a)
+                r = _mul_raw(r, a, p, modulus)
+            a = _mul_raw(a, a, p, modulus)
             k >>= 1
         return r
 
@@ -331,13 +378,14 @@ def field_from_q(q: int) -> Field:
 
 def field_from_json(rec: dict) -> Field:
     """The cached build_field(p, e) when the record names its modulus and
-    generator, else a Field validated from the record."""
+    generator, else a Field built from the record.  The record is validated
+    first, by the rules listed on Field."""
     p, e = rec["p"], rec["e"]
     modulus, generator = tuple(rec["modulus"]), rec["generator"]
-    if is_prime(p) and e >= 1 and p ** e <= SIZE_CAP:
-        f = build_field(p, e)
-        if (f.modulus, f.generator) == (modulus, generator):
-            return f
+    _check_record(p, e, modulus, generator)
+    f = build_field(p, e)
+    if (f.modulus, f.generator) == (modulus, generator):
+        return f
     return Field(p, e, list(modulus), generator)
 
 

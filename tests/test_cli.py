@@ -231,3 +231,45 @@ def test_loaded_design_distance_never_certifies(tmp_path, capsys):
         # the larger stored value is declared; 6 is refuted by the witness
         want = 5 if max(design, declared or 0) == 5 else 2
         assert res["value"] == want
+
+
+BAD_FIELD_RECORDS = [
+    {"generator": 6}, {"generator": -1}, {"generator": 2.0},
+    {"generator": "x"}, {"modulus": [1, 3, 1]}, {"modulus": [-1, 1, 1]},
+    {"modulus": [1.0, 1, 1]},
+    {"p": 1000000000000000003, "e": 1, "modulus": [0, 1]},
+    {"e": 400_000_000}, {"e": -3}, {"e": 0},
+]
+
+
+@pytest.mark.parametrize("change", BAD_FIELD_RECORDS)
+def test_bad_field_record_exits_one(no_big_factoring, tmp_path, capsys,
+                                    change):
+    assert run_cli(["code", "build", "rs", "--q", "4", "--k", "2",
+                    "--json"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    rec["field"].update(change)
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(rec))
+    assert run_cli(["code", "distance", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("args,code", [
+    (["field", "--p", "1000000000000000003"], 1),
+    (["field", "--p", "2", "--e", "-3"], 1),
+    (["field", "--p", "2", "--e", "0"], 1),
+    (["field", "--p", "2", "--e", "400000000"], 1),
+    (["field", "--p", "2", "--e", "17"], 1),
+    (["field", "--p", "65537"], 1),
+    (["field", "--p", "4"], 1),
+    (["field", "--p", "two"], 2),
+    (["field", "--p", "2", "--e", "2.5"], 2),
+    (["code", "build", "rs", "--q", "1000000000000000003", "--k", "2"], 1),
+])
+def test_out_of_range_field_exits_cleanly(no_big_factoring, capsys, args,
+                                          code):
+    assert run_cli(args) == code
+    err = capsys.readouterr().err
+    assert "error: " in err and len(err.strip().splitlines()) == 1

@@ -106,6 +106,8 @@ def test_negacyclic_cs_precondition_report():
         families.negacyclic_cs(7, 3, 3)
     msg = str(err.value)
     assert "1 mod 4" in msg and "even divisor" in msg and "s=3" in msg
+    with pytest.raises(PreconditionError, match="exceeds size cap"):
+        families.negacyclic_cs(1000000000000000003, 8, 4)
 
 
 def test_cyclic_code_from_defining_set_design_distance():

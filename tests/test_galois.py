@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from qct import galois
 from qct.errors import FieldError
-from qct.galois import (ExtensionBasis, Field, build_field, field_from_json,
-                        field_from_q, find_dual_basis, find_self_dual_basis,
-                        get_embedding, is_prime, prime_power,
-                        self_dual_basis_exists, standard_basis, trace)
+from qct.galois import (SIZE_CAP, ExtensionBasis, Field, build_field,
+                        field_from_json, field_from_q, find_dual_basis,
+                        find_self_dual_basis, get_embedding, is_prime,
+                        prime_power, self_dual_basis_exists, standard_basis,
+                        trace)
 
 
 def test_prime_power_decomposition():
@@ -62,6 +64,80 @@ def test_field_json_roundtrip():
     assert other != f and other.order == 16
     with pytest.raises(FieldError):
         field_from_json(dict(f.to_json(), generator=1))
+
+
+def scalar_chain_tables(field):
+    """Oracle: the exp/log tables from one polynomial multiplication by the
+    generator per element, without the vectorized multiply-by-g map."""
+    q = field.order
+    exp = np.zeros(q - 1, dtype=np.int64)
+    log = np.full(q, -1, dtype=np.int64)
+    x = 1
+    for i in range(q - 1):
+        exp[i] = x
+        log[x] = i
+        x = galois._mul_raw(x, field.generator, field.p, field.modulus)
+    return exp, log
+
+
+def test_tables_match_scalar_chain():
+    small = [(p, e) for p in range(2, 512) if is_prime(p)
+             for e in range(1, 10) if p ** e <= 512]
+    for p, e in small + [(2, 12)]:
+        f = build_field(p, e)
+        exp, log = scalar_chain_tables(f)
+        assert np.array_equal(f.exp, exp) and np.array_equal(f.log, log)
+
+
+@pytest.mark.parametrize("p,e", [(2, 4), (3, 2), (5, 2)])
+def test_every_generator_choice(p, e):
+    """Each primitive element gives the oracle's tables; every other nonzero
+    element is rejected as not primitive."""
+    f = build_field(p, e)
+    q = f.order
+    for g in range(1, q):
+        order = (q - 1) // np.gcd(int(f.log[g]), q - 1)
+        if order == q - 1:
+            other = Field(p, e, list(f.modulus), g)
+            exp, log = scalar_chain_tables(other)
+            assert np.array_equal(other.exp, exp)
+            assert np.array_equal(other.log, log) and other.log[g] == 1
+        else:
+            with pytest.raises(FieldError, match="not primitive"):
+                Field(p, e, list(f.modulus), g)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("generator", 6), ("generator", 4), ("generator", 0), ("generator", -1),
+    ("generator", 2.0), ("generator", "x"), ("generator", True),
+    ("modulus", [1, 3, 1]), ("modulus", [-1, 1, 1]), ("modulus", [1.0, 1, 1]),
+    ("modulus", [1, 1]), ("modulus", [1, 1, 2]), ("p", 2.0), ("e", "2"),
+])
+def test_bad_gf4_record_rejected(key, value):
+    rec = dict(build_field(2, 2).to_json(), **{key: value})
+    with pytest.raises(FieldError):
+        field_from_json(rec)
+
+
+@pytest.mark.parametrize("p,e", [
+    (1000000000000000003, 1), (2, 400_000_000), (2, SIZE_CAP.bit_length() + 1),
+    (SIZE_CAP + 1, 1), (257, 2), (2, 0), (2, -3), (1000000000000000003, 0),
+])
+def test_size_checked_before_arithmetic(no_big_factoring, p, e):
+    for build in (lambda: build_field(p, e),
+                  lambda: Field(p, e, [0, 1], 1),
+                  lambda: field_from_json({"p": p, "e": e, "modulus": [0, 1],
+                                           "generator": 1})):
+        with pytest.raises(FieldError):
+            build()
+
+
+@pytest.mark.parametrize("q", [1000000000000000003, 2 ** 400, SIZE_CAP + 1])
+def test_order_checked_before_factoring(no_big_factoring, q):
+    with pytest.raises(FieldError, match="size cap"):
+        prime_power(q)
+    with pytest.raises(FieldError, match="size cap"):
+        field_from_q(q)
 
 
 def test_field_determinism_and_cache():
