@@ -25,12 +25,16 @@ def _echo_json(obj):
 
 def _parse_element(token: str, field) -> int:
     """Field element literal: an integer in packed form, or w / w^k for
-    powers of the canonical generator."""
+    powers of the canonical generator.  Anything else raises QctError."""
     token = token.strip()
-    if token.startswith("w"):
-        exp = 1 if token == "w" else int(token.split("^", 1)[1])
-        return field.pow(field.generator, exp)
-    value = int(token)
+    base, hat, exp = token.partition("^")
+    try:
+        if base == "w":
+            return field.pow(field.generator, int(exp) if hat else 1)
+        value = int(token)
+    except ValueError:
+        raise QctError(f"bad field element {token!r}: expected an integer, "
+                       f"w or w^k") from None
     if not 0 <= value < field.order:
         raise QctError(f"element {value} out of range for {field}")
     return value
@@ -115,6 +119,9 @@ def field_cmd(ctx, p, e, dual_basis, sdb, as_json):
         if dual_basis is not None:
             elems = tuple(_parse_element(t, field)
                           for t in dual_basis.split(","))
+            if len(elems) != emb.m:
+                raise QctError(f"--dual-basis needs {emb.m} elements of "
+                               f"GF({p}^{e}) over GF({p}), got {len(elems)}")
             from .galois import ExtensionBasis
             basis = ExtensionBasis(emb, elems)
             dual = find_dual_basis(basis)

@@ -21,6 +21,13 @@ of C2 over C1, the syndrome columns G2.H1^T are appended to the generator,
 and a codeword lies outside C1 exactly when its syndrome digits are
 nonzero.
 
+The walk stops after the first block that leaves its best weight at the
+code's design distance (1 when there is none), a certified lower bound; a
+relative weight uses the bound of C2, since wt(C2 \\ C1) >= d(C2).  No
+later word can be lighter, and blocks come in message-index order with the
+first minimum kept, so value and witness are those of the full walk.  A
+best weight below the bound refutes it and raises CodeError.
+
 Above the cap (q^k > cap) nothing is enumerated.  A Lee-Brickell
 information-set search (p <= 2, a fixed seed and a fixed number of
 information sets) looks for a light codeword in the same digit planes, and
@@ -92,7 +99,13 @@ class Bound:
 
 
 class LinearCode:
-    """An [n,k]_q code held as a canonical (rref) generator matrix."""
+    """An [n,k]_q code held as a canonical (rref) generator matrix.
+
+    `design_distance` is a proven lower bound on the minimum distance, set
+    only by constructors that prove it (the BCH bound of a defining set,
+    q - k for Reed-Solomon) and lowered by one per puncture; it is never
+    loaded from JSON.  `declared_distance` is a claimed, unverified value.
+    """
 
     def __init__(self, field: Field, rows, provenance: str = "",
                  design_distance: int | None = None,
@@ -106,7 +119,6 @@ class LinearCode:
         self.matrix, self.pivots = gflinalg.rref(a, field)
         self.n = int(a.shape[1])
         self.provenance = provenance
-        # certified lower bound (e.g. BCH bound) / claimed-but-unverified value
         self.design_distance = design_distance
         self.declared_distance = declared_distance
         self.distance_info: Bound | None = None
@@ -187,8 +199,11 @@ class LinearCode:
         if not 0 <= position < self.n:
             raise CodeError(f"puncture position {position} out of range")
         rows = np.delete(self.matrix, position, axis=1)
+        # one coordinate fewer lowers a nonzero word's weight by at most 1
+        d = self.design_distance
         return LinearCode(self.field, rows,
-                          provenance=f"puncture({self.provenance}@{position})")
+                          provenance=f"puncture({self.provenance}@{position})",
+                          design_distance=d - 1 if d and d > 2 else None)
 
     def extend_parity(self) -> "LinearCode":
         f = self.field
@@ -323,7 +338,9 @@ def _word(f: Field, planes: np.ndarray, n: int, wc: int) -> np.ndarray:
 def _enumerate(code: LinearCode, exclude: LinearCode | None):
     """Minimum weight, and the first codeword of that weight in message-index
     order, over the nonzero codewords of `code` outside `exclude` (if given).
-    The walk is described in the module docstring."""
+    The walk and its stop at the design distance of `code` are described in
+    the module docstring."""
+    floor = code.design_distance or 1
     f = code.field
     p, q = f.p, f.order
     k, n = code.matrix.shape
@@ -358,6 +375,11 @@ def _enumerate(code: LinearCode, exclude: LinearCode | None):
         i = int(np.argmin(weights))
         if weights[i] < best_w:
             best_w, best = int(weights[i]), block[i].copy()
+        if best_w <= floor:
+            break
+    if best_w < floor:
+        raise CodeError(f"a codeword of weight {best_w} refutes the bch_bound "
+                        f"lower bound {floor}")
     if best is None:
         return best_w, None
     return best_w, tuple(int(x) for x in _word(f, best, n, wc))

@@ -267,6 +267,9 @@ def test_bad_field_record_exits_one(no_big_factoring, tmp_path, capsys,
     (["field", "--p", "two"], 2),
     (["field", "--p", "2", "--e", "2.5"], 2),
     (["code", "build", "rs", "--q", "1000000000000000003", "--k", "2"], 1),
+    *((["field", "--p", "2", "--e", "2", "--dual-basis", basis], 1)
+      for basis in ("1,abc", "1,w^x", "1,w^", "1,", "wx,1", "1", "1,2,3",
+                    "1,4", "1,1")),
 ])
 def test_out_of_range_field_exits_cleanly(no_big_factoring, capsys, args,
                                           code):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qct import gflinalg, lincode
+from qct import families, gflinalg, lincode
 from qct.errors import CodeError, PreconditionError
 from qct.galois import build_field, get_embedding, standard_basis
 from qct.lincode import (Bound, LinearCode, code_from_json, direct_sum, expand_basis,
@@ -173,6 +173,34 @@ def test_puncture_and_extend():
     assert (e.n, e.k) == (8, 4)
     assert min_distance(e).value == 4
     assert e == e.dual()   # extended Hamming is self-dual
+    # a puncture carries the design distance minus one while that is >= 2
+    bch = families.bch_narrow_sense(F2, 15, 5)
+    assert bch.design_distance == 5
+    assert bch.puncture().design_distance == 4
+    assert bch.puncture().puncture().design_distance == 3
+    assert min_distance(bch.puncture()).value == 4
+    assert LinearCode(F2, HAMMING, design_distance=3).puncture() \
+        .design_distance == 2
+    assert LinearCode(F2, HAMMING, design_distance=2).puncture() \
+        .design_distance is None
+    assert p.design_distance is None
+    # duals and parity extensions carry none
+    assert bch.dual().design_distance is None
+    assert bch.extend_parity().design_distance is None
+
+
+@pytest.mark.parametrize("table_bytes", [None, 64])
+def test_design_distance_above_minimum_is_refuted(table_bytes, monkeypatch):
+    """A [7,4,3] code that claims design distance 4: the walk meets a
+    weight-3 word, so the claim is refuted, never reported as an exact 4."""
+    if table_bytes is not None:
+        monkeypatch.setattr(lincode, "_TABLE_BYTES", table_bytes)
+    c = LinearCode(F2, HAMMING, design_distance=4)
+    with pytest.raises(CodeError, match="weight 3 refutes .* lower bound 4"):
+        min_distance(c)
+    assert c.distance_info is None
+    with pytest.raises(CodeError, match="weight 3 refutes .* lower bound 4"):
+        relative_min_weight(c, c.dual())
 
 
 def test_hermitian_dual_gf4():

@@ -2,7 +2,8 @@
 versus matrix Hermitian duals, enumeration versus a naive weight oracle, the
 witness search versus enumeration, and the vectorized elimination versus a
 per-row reference, and the scalar-class walk of the enumeration kernel
-versus the naive first-minimum oracle."""
+and its stop at a BCH design distance versus the naive first-minimum
+oracle."""
 
 import itertools
 from unittest import mock
@@ -176,6 +177,45 @@ def test_scalar_class_walk_against_naive_oracle(spec, table_bytes, seed):
         if inner is not None:
             assert (lincode._enumerate(c2, inner)
                     == naive_first_minimum(c2, inner))
+
+
+# -- the early stop at the design distance versus the naive oracle ------------
+
+BCH_LENGTHS = {2: (7, 9, 15, 17, 21), 3: (8, 11, 13, 16), 4: (5, 7, 9, 15, 17)}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2)]),
+       st.sampled_from([lincode._TABLE_BYTES, 64]), st.data())
+def test_early_stop_against_naive_oracle(spec, table_bytes, data):
+    """BCH codes and their punctures carry a design distance, so the walk
+    stops at the first word of that weight.  Value and witness, absolute and
+    relative to a BCH subcode with a larger defining set, must be those of
+    the naive full walk.  A 64-byte table puts the stop in a later block."""
+    f = build_field(*spec)
+    q = f.order
+    n = data.draw(st.sampled_from(BCH_LENGTHS[q]))
+    start = data.draw(st.integers(0, n - 1))
+    width = data.draw(st.integers(1, n - 2))
+    extra = data.draw(st.integers(1, n - 1 - width))
+
+    def bch(w):
+        raw = [(start + i) % n for i in range(w)]
+        return polyalg.defining_set_closure(raw, "cyclic", n, q)
+
+    t2, t1 = bch(width), bch(width + extra)
+    k2, k1 = n - len(t2.exponents), n - len(t1.exponents)
+    assume(k2 > 0 and q ** k2 <= 2 ** 12)
+    c2 = families.cyclic_code_from_defining_set(t2, f)
+    c1 = families.cyclic_code_from_defining_set(t1, f) if 0 < k1 < k2 else None
+    assert c2.design_distance == polyalg.bch_bound(t2)
+    cases = [(c2, c1), (c2.puncture(), c1 and c1.puncture())]
+    with mock.patch.object(lincode, "_TABLE_BYTES", table_bytes):
+        for code, inner in cases:
+            assert lincode._enumerate(code, None) == naive_first_minimum(code)
+            if inner is not None:
+                assert (lincode._enumerate(code, inner)
+                        == naive_first_minimum(code, inner))
 
 
 # -- witness search versus enumeration ---------------------------------------
