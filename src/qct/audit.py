@@ -142,7 +142,7 @@ def _bch_interval_closures(n: int) -> tuple:
     each computed once as a bit mask; an interval that wraps contains 0, so
     b runs over 1..n - width.  Cached: every Table 2 row of length n and its
     off-by-one reading filter the same list."""
-    coset = [sum(1 << s for s in polyalg.cyclotomic_coset(n, 4, x).members)
+    coset = [sum(1 << s for s in polyalg.cyclotomic_coset(n, 4, x))
              for x in range(n)]
     span = [0] * n   # span[b]: closure mask of the current interval at b
     out = []

@@ -12,7 +12,8 @@ import os
 from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timezone
 
-from .errors import QctError
+from .errors import FieldError, QctError
+from .galois import prime_power
 
 DEFAULT_PATH = "qct_catalog.jsonl"
 
@@ -117,7 +118,12 @@ class Catalog:
         return sorted(out, key=lambda e: e.created)
 
     def search(self, n=None, k=None, q=None, dz_min=None, dx_min=None):
-        """Match quantum/classical payloads on parameters."""
+        """Match quantum/classical payloads on parameters.  A classical
+        payload matches q on its field record's (p, e), with no p ** e."""
+        try:
+            pe = None if q is None else prime_power(q)
+        except FieldError:
+            pe = None
         hits = []
         for entry in self.list():
             p = entry.payload
@@ -125,7 +131,8 @@ class Catalog:
                 continue
             if k is not None and p.get("k") != k:
                 continue
-            if q is not None and p.get("q", p.get("field", {}).get("order")) != q:
+            if q is not None and (p["q"] != q if "q" in p
+                                  else pe is None or _field_pe(p) != pe):
                 continue
             if dz_min is not None and (p.get("dz") or 0) < dz_min:
                 continue
@@ -133,3 +140,8 @@ class Catalog:
                 continue
             hits.append(entry)
         return hits
+
+
+def _field_pe(payload: dict):
+    field = payload.get("field")
+    return (field.get("p"), field.get("e")) if isinstance(field, dict) else None

@@ -15,20 +15,19 @@ from . import lincode, polyalg
 from .errors import CodeError, FieldError, PreconditionError
 from .galois import Field, field_from_q
 from .lincode import LinearCode
-from .polyalg import (DefiningSet, bch_bound, defining_set_closure,
-                      generator_from_defining_set)
+from .polyalg import DefiningSet, bch_bound, defining_set_closure
 
 
 def cyclic_code_from_defining_set(t: DefiningSet, field: Field,
                                   provenance: str = "") -> LinearCode:
-    """Cyclic or negacyclic code generated by the minimal-polynomial product
-    over the defining set; dimension is n - |T|."""
+    """Cyclic or negacyclic code with rows x^j.g, j < k = n - |T|, for the
+    generator g of the defining set.  The (nega)cyclic shift of the last
+    row, x^k.g - g_deg.(x^n -+ 1), is a codeword (a multiple of g of degree
+    below n) exactly when g divides x^n -+ 1."""
     g = polyalg.generator_from_defining_set(t, field)
-    deg = polyalg.poly_deg(g)
+    deg = len(g) - 1
     k = t.n - deg
-    if k != t.n - len(t.exponents):
-        raise CodeError("defining-set size does not match generator degree")
-    if k == 0:
+    if k < 1:
         raise CodeError("defining set leaves a zero-dimensional code")
     rows = np.zeros((k, t.n), dtype=np.int64)
     for j in range(k):
@@ -37,6 +36,13 @@ def cyclic_code_from_defining_set(t: DefiningSet, field: Field,
                       design_distance=bch_bound(t))
     if code.k != k:
         raise CodeError("cyclic generator matrix lost rank")
+    shift = np.roll(rows[-1], 1)
+    if t.kind == "negacyclic":
+        shift[0] = field.neg(int(shift[0]))
+    if not code.contains_word(shift):
+        raise CodeError("generator polynomial does not divide x^n -+ 1")
+    if k != t.n - len(t.exponents):
+        raise CodeError("defining-set size does not match generator degree")
     code.defining_set = t
     return code
 
@@ -85,7 +91,7 @@ def simplex_and_c0(m: int) -> tuple[LinearCode, LinearCode]:
         raise PreconditionError("simplex construction needs m >= 2")
     field = field_from_q(2)
     n = 2 ** m - 1
-    cl_minus1 = set(polyalg.cyclotomic_coset(n, 2, n - 1).members)
+    cl_minus1 = set(polyalg.cyclotomic_coset(n, 2, n - 1))
     t_simplex = DefiningSet("cyclic", n, 2, frozenset(set(range(n)) - cl_minus1))
     t_c0 = DefiningSet("cyclic", n, 2,
                        frozenset(set(range(n)) - cl_minus1 - {0}))
@@ -113,8 +119,8 @@ def preparata_like_bi(m: int, i: int) -> LinearCode:
         raise PreconditionError(violations)
     field = field_from_q(2)
     n = 2 ** m - 1
-    exps = set(polyalg.cyclotomic_coset(n, 2, 1).members) | \
-        set(polyalg.cyclotomic_coset(n, 2, (2 ** i + 1) % n).members)
+    exps = set(polyalg.cyclotomic_coset(n, 2, 1)) | \
+        set(polyalg.cyclotomic_coset(n, 2, (2 ** i + 1) % n))
     t = DefiningSet("cyclic", n, 2, frozenset(exps))
     code = cyclic_code_from_defining_set(t, field,
                                          provenance=f"preparata_bi(m={m},i={i})")

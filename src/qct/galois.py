@@ -18,6 +18,7 @@ import numpy as np
 from .errors import FieldError, SearchCapExceeded
 
 SIZE_CAP = 1 << 16
+_BASIS_NODES = 500_000   # search nodes per find_self_dual_basis attempt
 
 
 def is_prime(n: int) -> bool:
@@ -519,8 +520,7 @@ def self_dual_basis_exists(sub: Field, m: int) -> bool:
     return q % 2 == 0 or (q % 2 == 1 and m % 2 == 1)
 
 
-def find_self_dual_basis(sub: Field, ext: Field, seed: int = 0,
-                         node_cap: int = 500_000):
+def find_self_dual_basis(sub: Field, ext: Field, seed: int = 0):
     """Orthonormal (trace Gram = identity) basis, or None when none exists.
 
     Deterministic lexicographic depth-first search with seeded random
@@ -549,7 +549,7 @@ def find_self_dual_basis(sub: Field, ext: Field, seed: int = 0,
             return list(chosen)
         for idx, x in enumerate(cands):
             nodes += 1
-            if nodes > node_cap:
+            if nodes > _BASIS_NODES:
                 raise SearchCapExceeded("self-dual basis search budget exhausted")
             nxt = [y for y in cands[idx + 1:] if trp(x, y) == 0]
             if len(nxt) < m - len(chosen) - 1:

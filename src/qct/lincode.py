@@ -58,6 +58,7 @@ DEFAULT_CAP = 1 << 24
 _TABLE_BYTES = 1 << 18   # low-row combination table of _enumerate
 _SEARCH_SETS = 16        # information sets tried by _witness_search
 _SEARCH_BYTES = 1 << 18  # candidate block of _witness_search
+_MDS_SUBSETS = 1_000_000  # column subsets is_mds may check
 _KINDS = ("exact", "lower_bound", "upper_bound", "declared")
 
 
@@ -494,14 +495,14 @@ def relative_min_weight(c2: LinearCode, c1: LinearCode,
     return _bound_without_enumeration(c2, c1)
 
 
-def is_mds(code: LinearCode, subset_cap: int = 1_000_000) -> bool:
+def is_mds(code: LinearCode) -> bool:
     """True iff every k-subset of generator columns is nonsingular."""
     n, k = code.n, code.k
     if code.distance_info is not None and code.distance_info.exact:
         return code.distance_info.value == n - k + 1
-    if math.comb(n, k) > subset_cap:
+    if math.comb(n, k) > _MDS_SUBSETS:
         raise SearchCapExceeded(
-            f"C({n},{k}) column subsets exceed cap {subset_cap}")
+            f"C({n},{k}) column subsets exceed cap {_MDS_SUBSETS}")
     for cols in combinations(range(n), k):
         sub = code.matrix[:, cols]
         if gflinalg.rank(sub, code.field) < k:
@@ -510,12 +511,17 @@ def is_mds(code: LinearCode, subset_cap: int = 1_000_000) -> bool:
 
 
 def mds_witness(code: LinearCode) -> tuple:
-    """A weight-(n-k+1) codeword of an MDS code: eliminate k-1 coordinates."""
+    """A weight-(n-k+1) codeword of an MDS code: eliminate k-1 coordinates.
+    Raises CodeError unless the word is a codeword of that weight."""
     k, n = code.k, code.n
     m = code.matrix[:, :k - 1] if k > 1 else np.zeros((k, 0), dtype=np.int64)
     ns = gflinalg.nullspace(m.T, code.field) if k > 1 else np.eye(1, k, dtype=np.int64)
     combo = ns[0]
     cw = gflinalg.matmul(combo[None, :], code.matrix, code.field)[0]
+    w = int(np.count_nonzero(cw))
+    if w != n - k + 1 or not code.contains_word(cw):
+        raise CodeError(f"MDS witness of weight {w} is not a codeword of "
+                        f"weight {n - k + 1}")
     return tuple(int(x) for x in cw)
 
 
@@ -581,14 +587,13 @@ def expand_basis(code: LinearCode, basis: ExtensionBasis) -> LinearCode:
     return out
 
 
-def expand_with_parity(code: LinearCode, basis: ExtensionBasis,
-                       subset_cap: int = 1_000_000) -> LinearCode:
+def expand_with_parity(code: LinearCode, basis: ExtensionBasis) -> LinearCode:
     """Phi_B image with an overall parity symbol per coordinate block:
     an MDS [n,k] code over GF(q^m) becomes [(m+1)n, km] over GF(q) with
     declared distance 2(n-k+1)."""
     if basis.emb.ext != code.field:
         raise CodeError("basis extension field does not match the code's field")
-    if not is_mds(code, subset_cap=subset_cap):
+    if not is_mds(code):
         raise PreconditionError("parity-augmented expansion requires an MDS code")
     exp = _expander(basis)
     sub = exp.sub

@@ -1,9 +1,11 @@
-"""Polynomials over GF(q), cyclotomic cosets, defining sets and the BCH bound.
+"""Cyclotomic cosets, defining sets, the BCH bound and generator polynomials.
 
-Polynomials are lists of field elements, constant term first.  Defining sets
-follow the root-of-unity conventions: exponents mod n for cyclic codes and
-odd exponents mod 2n for negacyclic codes, closed under multiplication by
-the field order.
+Defining sets follow the root-of-unity conventions: exponents mod n for
+cyclic codes and odd exponents mod 2n for negacyclic codes, closed under
+multiplication by the field order.  The one polynomial built here is the
+generator, a product of linear factors over the splitting field, returned as
+a list of field elements, constant term first; there is no general
+polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -12,81 +14,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
+import numpy as np
+
 from .errors import CodeError, FieldError, PreconditionError
 from .galois import Embedding, Field, build_field, get_embedding
 
-# -- polynomial arithmetic over a Field ---------------------------------------
-
-def poly_trim(a):
-    while len(a) > 1 and a[-1] == 0:
-        a = a[:-1]
-    return a
-
-
-def poly_deg(a) -> int:
-    a = poly_trim(list(a))
-    return -1 if a == [0] else len(a) - 1
-
-
-def poly_mul(a, b, field: Field):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = field.add(out[i + j], field.mul(ai, bj))
-    return poly_trim(out)
-
-
-def poly_divmod(a, b, field: Field):
-    a = poly_trim(list(a))
-    b = poly_trim(list(b))
-    if b == [0]:
-        raise ZeroDivisionError("polynomial division by zero")
-    db = len(b) - 1
-    inv_lead = field.inv(b[-1])
-    quot = [0] * max(1, len(a) - db)
-    rem = list(a)
-    for i in range(len(rem) - 1, db - 1, -1):
-        if rem[i]:
-            c = field.mul(rem[i], inv_lead)
-            quot[i - db] = c
-            for j in range(db + 1):
-                rem[i - db + j] = field.sub(rem[i - db + j], field.mul(c, b[j]))
-    return poly_trim(quot), poly_trim(rem)
-
-
-def poly_eval(a, x: int, field: Field) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
-
-
-def poly_xn_plus(n: int, sign: int, field: Field):
-    """x^n - 1 for sign=-1, x^n + 1 for sign=+1."""
-    out = [0] * (n + 1)
-    out[0] = 1 if sign > 0 else field.neg(1)
-    out[n] = 1
-    return out
-
-
 # -- cyclotomic cosets and defining sets --------------------------------------
 
-@dataclass(frozen=True)
-class CyclotomicCoset:
-    n: int
-    q: int
-    representative: int
-    members: tuple
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-def cyclotomic_coset(n: int, q: int, s: int) -> CyclotomicCoset:
-    """Orbit of s under multiplication by q mod n."""
+def cyclotomic_coset(n: int, q: int, s: int) -> tuple:
+    """Orbit of s under multiplication by q mod n, as a sorted tuple."""
     if gcd(n, q) != 1:
         raise PreconditionError(f"gcd({n},{q}) != 1")
     if not 0 <= s < n:
@@ -96,8 +32,7 @@ def cyclotomic_coset(n: int, q: int, s: int) -> CyclotomicCoset:
     while x not in seen:
         seen.add(x)
         x = (x * q) % n
-    members = tuple(sorted(seen))
-    return CyclotomicCoset(n, q, min(members), members)
+    return tuple(sorted(seen))
 
 
 @dataclass(frozen=True)
@@ -238,28 +173,18 @@ def unity_root(ext: Field, root_order: int) -> int:
 
 
 def generator_from_defining_set(t: DefiningSet, field: Field) -> list[int]:
-    """Generator polynomial g = prod over T of (x - alpha^i), assembled from
-    minimal-polynomial factors over `field`; divides x^n -+ 1 exactly."""
+    """Generator polynomial g = prod over T of (x - alpha^j), constant term
+    first.  It is built in the splitting field one linear factor at a time,
+    g <- x.g - alpha^j.g, and mapped down to `field`; a coefficient outside
+    `field` raises FieldError.  `families.cyclic_code_from_defining_set`
+    checks that g divides x^n -+ 1."""
     if field.order != t.q:
         raise PreconditionError(f"field order {field.order} != defining set base {t.q}")
     mod = t.n if t.kind == "cyclic" else 2 * t.n
     ext, emb = splitting_field(field, mod)
     alpha = unity_root(ext, mod)
-    remaining = set(t.exponents)
-    g = [1]
-    while remaining:
-        s = min(remaining)
-        coset = cyclotomic_coset(mod, field.order, s)
-        if not set(coset.members) <= remaining:
-            raise PreconditionError("defining set is not q-closed")
-        remaining -= set(coset.members)
-        factor = [1]
-        for j in coset.members:
-            factor = poly_mul(factor, [ext.neg(ext.pow(alpha, j)), 1], ext)
-        g = poly_mul(g, factor, ext)
-    g = [emb.down(c) for c in g]
-    sign = -1 if t.kind == "cyclic" else 1
-    _, rem = poly_divmod(poly_xn_plus(t.n, sign, field), g, field)
-    if poly_deg(rem) >= 0:
-        raise CodeError("generator polynomial does not divide x^n -+ 1")
-    return g
+    g = np.ones(1, dtype=np.int64)
+    for j in t.sorted_exponents:
+        minus_root = ext.neg(ext.pow(alpha, j))
+        g = ext.vadd(np.append(0, g), ext.vmul(minus_root, np.append(g, 0)))
+    return [emb.down(int(c)) for c in g]

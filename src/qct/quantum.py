@@ -182,8 +182,8 @@ def bch_designed_bounds(m: int, delta: int) -> dict:
                 bounds("carlitz_uchiyama", m=m, delta=delta)}
 
 
-def lemma_bch1(m: int, delta1: int, delta2: int, cap: int = DEFAULT_CAP,
-               matrix_limit: int = MATRIX_LIMIT) -> AqcParams:
+def lemma_bch1(m: int, delta1: int, delta2: int,
+               cap: int = DEFAULT_CAP) -> AqcParams:
     """Binary BCH pair C1 = B(delta2)^perp < C2 = B(delta1):
     [[2^m-1, n+m-m(delta1+delta2)/2, {wt B(delta2), wt B(delta1)}]]_2."""
     n = 2 ** m - 1
@@ -210,7 +210,7 @@ def lemma_bch1(m: int, delta1: int, delta2: int, cap: int = DEFAULT_CAP,
                        "dx": bch_designed_bounds(m, delta1)}}
     dz = Bound(delta2, "lower_bound", "bch_bound")
     dx = Bound(delta1, "lower_bound", "bch_bound")
-    if n <= matrix_limit:
+    if n <= MATRIX_LIMIT:
         f2 = build_field(2, 1)
         b1 = families.bch_narrow_sense(f2, n, delta1)
         b2 = families.bch_narrow_sense(f2, n, delta2)

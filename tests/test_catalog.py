@@ -5,6 +5,7 @@ import pytest
 
 from qct.catalog import Catalog, payload_id
 from qct.errors import QctError
+from qct.families import rs_code
 
 
 def test_put_is_idempotent(tmp_path):
@@ -53,6 +54,12 @@ def test_search_predicates(tmp_path):
     assert len(cat.search(q=16)) == 1
     assert len(cat.search(k=24, q=4)) == 1
     assert cat.search(n=99) == []
+    # a classical record carries its field as p and e, not as q
+    cat.put("classical", rs_code(4, 2).to_json())
+    assert [e.kind for e in cat.search(q=4)] == ["quantum", "quantum",
+                                                 "classical"]
+    assert [e.kind for e in cat.search(n=3, q=4)] == ["classical"]
+    assert cat.search(n=3, q=2) == [] and cat.search(n=3, q=6) == []
 
 
 def test_corrupt_file_surfaced_with_path(tmp_path):

@@ -106,6 +106,10 @@ def test_catalog_flow(runner, tmp_path):
     assert len(res.output.strip().splitlines()) == 1
     res = invoke(runner, ["--catalog", cat, "catalog", "search", "--n", "3"])
     assert "rs[3,2]_4" in res.output
+    res = invoke(runner, ["--catalog", cat, "catalog", "search", "--q", "4"])
+    assert "rs[3,2]_4" in res.output
+    res = invoke(runner, ["--catalog", cat, "catalog", "search", "--q", "2"])
+    assert res.exit_code == 0 and res.output == ""
     res = invoke(runner, ["catalog", "list"])
     assert res.exit_code == 2
 

@@ -221,6 +221,9 @@ def test_mds_and_witness():
     w = mds_witness(rs)
     assert w is not None and sum(1 for x in w if x) == 2
     assert not is_mds(hamming())
+    # eliminating coordinate 0 of a non-MDS [4,2] code leaves a weight-1 word
+    with pytest.raises(CodeError, match="MDS witness of weight 1"):
+        mds_witness(LinearCode(build_field(2, 1), [[1, 0, 0, 0], [0, 1, 0, 0]]))
 
 
 def test_enumeration_matches_naive_oracle_small():

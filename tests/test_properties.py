@@ -341,3 +341,67 @@ def test_rref_and_containment_match_per_row_oracles(spec):
             contained += got
             refused += not got
     assert deficient >= 10 and contained >= 10 and refused >= 5
+
+
+# -- every exact bound's witness is a checked codeword ------------------------
+
+def assert_witnessed(bound, code, inner=None):
+    """An exact bound's witness is a codeword of the bound's weight, outside
+    `inner` for a relative weight."""
+    if bound.exact and bound.witness is not None:
+        word = np.asarray(bound.witness)
+        assert code.contains_word(word)
+        assert np.count_nonzero(word) == bound.value
+        assert inner is None or not inner.contains_word(word)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["rs", "negacyclic", "bch", "random"]), st.data())
+def test_exact_bounds_carry_checked_witnesses(source, data):
+    """Witnesses of rs_code and negacyclic_cs (mds_rank), and of
+    min_distance and relative_min_weight by enumeration and, at cap 1, by
+    the witness search."""
+    inner = None
+    if source == "rs":
+        q = data.draw(st.sampled_from([3, 4, 5, 7, 8, 9]))
+        code = families.rs_code(q, data.draw(st.integers(1, q - 1)))
+    elif source == "negacyclic":
+        q, n = data.draw(st.sampled_from([(5, 4), (9, 4), (13, 4), (13, 6)]))
+        code = families.negacyclic_cs(q, n, data.draw(
+            st.sampled_from(range(2, n + 1, 2))))
+    elif source == "bch":
+        f = build_field(*data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2)])))
+        n = data.draw(st.sampled_from(BCH_LENGTHS[f.order]))
+        width = data.draw(st.integers(1, n - 2))
+
+        def bch(w):
+            return polyalg.defining_set_closure(range(1, w + 1), "cyclic",
+                                                n, f.order)
+
+        t2, t1 = bch(width), bch(width + 1)
+        assume(len(t2.exponents) < n and f.order ** (n - len(t2.exponents))
+               <= 2 ** 12)
+        code = families.cyclic_code_from_defining_set(t2, f)
+        if len(t2.exponents) < len(t1.exponents) < n:
+            inner = families.cyclic_code_from_defining_set(t1, f)
+    else:
+        f = build_field(*data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2)])))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        codes = random_codes(f, rng, 1, max_n=10)
+        code = codes[0]
+        if code.k >= 2:
+            sub = gflinalg.matmul(rng.integers(0, f.order, (1, code.k)),
+                                  code.matrix, f)
+            if sub.any():
+                inner = LinearCode(f, sub)
+    if code.distance_info is not None:
+        assert code.distance_info.exact and code.distance_info.witness
+        assert_witnessed(code.distance_info, code)
+    for cap in (lincode.DEFAULT_CAP, 1):
+        fresh = LinearCode(code.field, code.matrix,
+                           design_distance=code.design_distance)
+        assert_witnessed(min_distance(fresh, cap), fresh)
+        if inner is not None:
+            assert_witnessed(relative_min_weight(fresh, inner, cap), fresh,
+                             inner)
+    assert_witnessed(min_distance(code), code)
