@@ -2,6 +2,17 @@
 
 Entries are content-addressed: the id is the SHA-256 hash of the canonical
 payload serialization, so putting the same record twice is a no-op.
+
+A sidecar index, `<catalog>.idx`, spares a load the parse of lines already
+checked.  It is only a cache.  Each of its lines is one batch: the rows (id,
+kind, byte range, search keys) of the catalog lines in bytes [from, to),
+the number of newlines before `to`, and the SHA-256 of the catalog's first
+`to` bytes.  The batches that chain from byte 0 are trusted only while that
+prefix still has the recorded hash, so any edit of a covered line makes the
+whole index stale.  A load parses the lines past the covered prefix and
+appends their batch; a missing, bad or stale index costs one full parse and
+is rebuilt.  `put` never touches the index, and a failure to write it is
+ignored.
 """
 
 from __future__ import annotations
@@ -43,47 +54,108 @@ class Catalog:
 
     def __init__(self, path: str = DEFAULT_PATH):
         self.path = path
-        self._entries = {}
+        self.index_path = path + ".idx"
+        self._rows = {}    # id -> its row (see _row), in file order
+        self._added = {}   # id -> CatalogEntry put through this object
         self.skipped_tail = None   # line number of a cut-short last line
         self._at_line_start = True
         self._load()
 
     def _load(self):
-        """Read every entry.  An unparsable last line with no newline is a
-        write cut short: it is skipped and named in `skipped_tail`, and the
-        next put starts on a fresh line.  Any other bad line is an error."""
-        line = b""
+        """Take the rows of the covered prefix from the index, if its hash
+        still holds, and parse the rest; then extend or rebuild the index."""
+        digest = hashlib.sha256()
         try:
             with open(self.path, "rb") as fh:
-                for number, line in enumerate(fh, 1):
-                    if not line.strip():
-                        continue
-                    try:
-                        rec = json.loads(line.decode())
-                        self._entries[rec["id"]] = CatalogEntry(
-                            rec["id"], rec["kind"], rec["payload"],
-                            rec["created"], rec.get("inputs", []))
-                    except (ValueError, KeyError, TypeError) as exc:
-                        if line.endswith(b"\n"):
-                            raise QctError(f"cannot read catalog {self.path}: "
-                                           f"line {number}: {exc}")
-                        self.skipped_tail = number
+                index = _read_index(self.index_path)
+                if index is not None:
+                    covered, lines, old_rows, sha, append = index
+                    prefix = fh.read(covered)
+                    digest.update(prefix)
+                    self._at_line_start = prefix[-1:] in (b"", b"\n")
+                if index is None or (len(prefix) != covered
+                                     or digest.hexdigest() != sha):
+                    covered, lines, old_rows, append = 0, 0, [], False
+                    digest = hashlib.sha256()
+                    fh.seek(0)
+                new_rows, end, newlines = self._scan(fh, covered, lines + 1,
+                                                     digest)
         except FileNotFoundError:
             return
         except OSError as exc:
             raise QctError(f"cannot read catalog {self.path}: {exc}")
-        self._at_line_start = not line or line.endswith(b"\n")
+        self._rows = {row[0]: row for row in old_rows + new_rows}
+        if end > covered:
+            batch = {"from": covered if append else 0, "to": end,
+                     "lines": lines + newlines, "sha256": digest.hexdigest(),
+                     "rows": new_rows if append else old_rows + new_rows}
+            _write_index(self.index_path, batch, append)
+
+    def _scan(self, fh, offset: int, number: int, digest):
+        """Parse the lines from `fh`'s position, byte `offset` and line
+        `number`, to the end.  An unparsable last line with no newline is a
+        write cut short: it is skipped and named in `skipped_tail`, and the
+        next put starts on a fresh line.  Any other bad line is an error.
+        Returns the index rows, the end of the last line kept and the
+        number of newlines kept; the kept bytes go into `digest`."""
+        rows, newlines = [], 0
+        for number, line in enumerate(fh, number):
+            end = offset + len(line)
+            if line.strip():
+                try:
+                    entry = _parse(line)
+                except (ValueError, KeyError, TypeError) as exc:
+                    if line.endswith(b"\n"):
+                        raise QctError(f"cannot read catalog {self.path}: "
+                                       f"line {number}: {exc}")
+                    self.skipped_tail = number
+                    self._at_line_start = False
+                    break
+                rows.append(_row(entry, offset, end))
+            digest.update(line)
+            self._at_line_start = line.endswith(b"\n")
+            newlines += self._at_line_start
+            offset = end
+        return rows, offset, newlines
+
+    def _read(self, eids) -> list:
+        """The entries of `eids`: each stored line is parsed from its byte
+        range, and must hold the entry it is indexed under."""
+        found = {e: self._added[e] for e in eids if e in self._added}
+        todo = [e for e in eids if e not in found]
+        if todo:
+            try:
+                with open(self.path, "rb") as fh:
+                    for eid in todo:
+                        start, end = self._rows[eid][2:4]
+                        fh.seek(start)
+                        try:
+                            entry = _parse(fh.read(end - start))
+                        except (ValueError, KeyError, TypeError):
+                            entry = None
+                        if entry is None or entry.id != eid:
+                            raise QctError(
+                                f"cannot read catalog {self.path}: byte "
+                                f"{start} no longer holds entry {eid}; "
+                                f"delete {self.index_path} if this persists")
+                        found[eid] = entry
+            except OSError as exc:
+                raise QctError(f"cannot read catalog {self.path}: {exc}")
+        return [found[e] for e in eids]
 
     def put(self, kind: str, payload: dict, inputs=()) -> CatalogEntry:
         if kind not in KINDS:
             raise QctError(f"unknown catalog kind {kind!r}")
+        if not isinstance(payload, dict):
+            raise QctError("catalog payload must be a JSON object, not "
+                           f"{type(payload).__name__}")
         inputs = list(inputs)
         for ref in inputs:
-            if ref not in self._entries:
+            if ref not in self._rows:
                 raise QctError(f"input id {ref} not found in catalog")
         eid = payload_id(payload)
-        if eid in self._entries:
-            return self._entries[eid]
+        if eid in self._rows:
+            return self.get(eid)
         entry = CatalogEntry(eid, kind, payload,
                              datetime.now(timezone.utc).isoformat(), inputs)
         line = json.dumps(entry.to_json(), sort_keys=True) + "\n"
@@ -104,44 +176,104 @@ class Catalog:
             raise QctError(f"cannot write catalog {self.path}: wrote "
                            f"{written} of {len(data)} bytes")
         self._at_line_start = True
-        self._entries[eid] = entry
+        self._added[eid] = entry
+        self._rows[eid] = _row(entry, None, None)
         return entry
 
     def get(self, eid: str) -> CatalogEntry:
-        if eid not in self._entries:
+        if eid not in self._rows:
             raise QctError(f"id {eid} not found in catalog {self.path}")
-        return self._entries[eid]
+        return self._read([eid])[0]
 
     def list(self, kind: str | None = None):
-        out = [e for e in self._entries.values()
-               if kind is None or e.kind == kind]
-        return sorted(out, key=lambda e: e.created)
+        eids = [eid for eid, row in self._rows.items()
+                if kind is None or row[1] == kind]
+        return sorted(self._read(eids), key=lambda e: e.created)
 
     def search(self, n=None, k=None, q=None, dz_min=None, dx_min=None):
         """Match quantum/classical payloads on parameters.  A classical
-        payload matches q on its field record's (p, e), with no p ** e."""
+        payload matches q on its field record's (p, e), with no p ** e.
+        Only the index rows are filtered; only the hits are parsed."""
         try:
-            pe = None if q is None else prime_power(q)
+            pe = None if q is None else list(prime_power(q))
         except FieldError:
             pe = None
         hits = []
-        for entry in self.list():
-            p = entry.payload
-            if n is not None and p.get("n") != n:
+        for eid, _, _, _, rn, rk, rq, rdz, rdx, rpe in self._rows.values():
+            if n is not None and rn != n:
                 continue
-            if k is not None and p.get("k") != k:
+            if k is not None and rk != k:
                 continue
-            if q is not None and (p["q"] != q if "q" in p
-                                  else pe is None or _field_pe(p) != pe):
+            if q is not None and (rq[0] != q if rq is not None
+                                  else pe is None or rpe != pe):
                 continue
-            if dz_min is not None and (p.get("dz") or 0) < dz_min:
+            if dz_min is not None and (rdz or 0) < dz_min:
                 continue
-            if dx_min is not None and (p.get("dx") or 0) < dx_min:
+            if dx_min is not None and (rdx or 0) < dx_min:
                 continue
-            hits.append(entry)
-        return hits
+            hits.append(eid)
+        return sorted(self._read(hits), key=lambda e: e.created)
 
 
-def _field_pe(payload: dict):
-    field = payload.get("field")
-    return (field.get("p"), field.get("e")) if isinstance(field, dict) else None
+def _parse(line: bytes) -> CatalogEntry:
+    rec = json.loads(line.decode())
+    entry = CatalogEntry(rec["id"], rec["kind"], rec["payload"],
+                         rec["created"], rec.get("inputs", []))
+    if not isinstance(entry.payload, dict):
+        raise TypeError("payload is not a JSON object")
+    return entry
+
+
+def _row(entry: CatalogEntry, start, end) -> list:
+    """An entry's index row: id, kind, the byte range of its line, and what
+    `search` reads of the payload.  That is n, k, [q] (None when the payload
+    has no q), dz, dx, and [p, e] of a field record (None without one)."""
+    p = entry.payload
+    field = p.get("field")
+    return [entry.id, entry.kind, start, end, p.get("n"), p.get("k"),
+            [p["q"]] if "q" in p else None, p.get("dz"), p.get("dx"),
+            [field.get("p"), field.get("e")] if isinstance(field, dict)
+            else None]
+
+
+def _read_index(path: str):
+    """The part of the index at `path` that chains from byte 0, as (covered,
+    newlines, rows, sha256, appendable), or None when there is none.  Each
+    line is a batch's JSON text after its own SHA-256, so a line that fails
+    its checksum voids the whole index.  A last line with no newline is a
+    write cut short and is dropped.  Batches are taken while each starts
+    where the last one taken ends.  The index may be appended to only if it
+    ends with the last batch taken."""
+    try:
+        with open(path, "rb") as fh:
+            lines = fh.read().split(b"\n")
+        cut = lines.pop()
+        for line in lines:
+            if hashlib.sha256(line[65:]).hexdigest().encode() != line[:64]:
+                raise ValueError("index line fails its checksum")
+        batches = json.loads(b"[" + b",".join(line[65:] for line in lines)
+                             + b"]")
+        covered, newlines, rows, sha, last = 0, 0, [], None, None
+        for i, batch in enumerate(batches):
+            to = batch["to"]
+            if batch["from"] != covered or not covered <= to:
+                continue
+            rows += batch["rows"]
+            covered, newlines, sha, last = to, batch["lines"], \
+                batch["sha256"], i
+    except (OSError, ValueError, TypeError, KeyError):
+        return None
+    if last is None:
+        return None
+    return covered, newlines, rows, sha, not cut and last == len(batches) - 1
+
+
+def _write_index(path: str, batch: dict, append: bool):
+    """Append one batch, or rewrite the index as that one batch."""
+    text = json.dumps(batch, separators=(",", ":")).encode()
+    data = hashlib.sha256(text).hexdigest().encode() + b" " + text + b"\n"
+    try:
+        with open(path, "ab" if append else "wb") as fh:
+            fh.write(data)
+    except OSError:
+        pass   # the index is only a cache

@@ -280,3 +280,56 @@ def test_out_of_range_field_exits_cleanly(no_big_factoring, capsys, args,
     assert run_cli(args) == code
     err = capsys.readouterr().err
     assert "error: " in err and len(err.strip().splitlines()) == 1
+
+
+STORED = json.dumps({"id": "a" * 64, "kind": "quantum", "payload": {"n": 7},
+                     "created": "2026-01-01T00:00:00+00:00",
+                     "inputs": []}).encode()
+
+
+@pytest.mark.parametrize("store,args,code,message", [
+    pytest.param(None, ["catalog", "list"], 2, "--catalog", id="no-catalog"),
+    pytest.param(b"", ["catalog", "put", "{tmp}/missing.json", "--kind",
+                       "quantum"], 1, "cannot load", id="unreadable-source"),
+    pytest.param(b"", ["catalog", "put", "{tmp}/array.json", "--kind",
+                       "quantum"], 1, "JSON object", id="non-object-payload"),
+    pytest.param(STORED + b"\n", ["catalog", "get", "0" * 64], 1, "not found",
+                 id="unknown-id"),
+    pytest.param(b"not json\n" + STORED + b"\n", ["catalog", "search"], 1,
+                 "line 1", id="corrupt-inner-line"),
+    pytest.param(STORED + b"\n" + STORED.replace(b'{"n": 7}', b"[1, 2]")
+                 + b"\n", ["catalog", "search", "--n", "7"], 1, "line 2",
+                 id="non-object-payload-line"),
+    pytest.param(STORED + b'\n{"id": "cut', ["catalog", "list"], 0,
+                 "skipped unterminated line 2", id="cut-short-tail"),
+])
+def test_catalog_exit_codes(tmp_path, capsys, monkeypatch, store, args, code,
+                            message):
+    """One row per documented exit code of a catalog command, each run
+    twice: without the index and then with the one the first run wrote."""
+    monkeypatch.delenv("QCT_CATALOG", raising=False)
+    (tmp_path / "array.json").write_text("[1, 2]")
+    cat = tmp_path / "cat.jsonl"
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in args]
+    if store is not None:
+        cat.write_bytes(store)
+        argv = ["--catalog", str(cat)] + argv
+    for _ in range(2):
+        assert run_cli(argv) == code
+        err = capsys.readouterr().err
+        assert message in err and len(err.strip().splitlines()) == 1
+        assert err.startswith({0: "warning: ", 1: "error: ",
+                               2: "usage error: "}[code])
+
+
+def test_non_object_payload_is_refused_and_search_still_works(tmp_path,
+                                                              capsys):
+    cat = str(tmp_path / "cat.jsonl")
+    array = tmp_path / "arr.json"
+    array.write_text("[1, 2]")
+    assert run_cli(["--catalog", cat, "catalog", "put", str(array),
+                    "--kind", "quantum"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: catalog payload must be a JSON object, not list\n"
+    assert run_cli(["--catalog", cat, "catalog", "search", "--n", "7"]) == 0
+    assert capsys.readouterr() == ("", "")
