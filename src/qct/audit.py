@@ -334,10 +334,9 @@ def _audit_bch_example(row) -> AuditRow:
     m, d1, n, k, dz, dx = row
     claim = f"[[{n},{k},{{{dz},{dx}}}]]_2"
     rec = quantum.lemma_bch1(m, d1, dz)
-    if _params(rec) == (n, k, dz, dx):
-        return AuditRow(claim, "formula-consistent",
-                        {"rebuilt": rec.to_json()})
-    return AuditRow(claim, "inconsistent", {"rebuilt": rec.to_json()})
+    status = (_settled(rec) if _params(rec) == (n, k, dz, dx)
+              else "inconsistent")
+    return AuditRow(claim, status, {"rebuilt": rec.to_json()})
 
 
 def audit_examples(cap: int = DEFAULT_CAP, threads: int = 1) -> VerificationReport:

@@ -24,11 +24,12 @@ from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timezone
 
 from .errors import FieldError, QctError
-from .galois import prime_power
+from .galois import _is_int, prime_power
 
 DEFAULT_PATH = "qct_catalog.jsonl"
 
 KINDS = ("classical", "quantum", "report")
+SEARCH_KEYS = ("n", "k", "q", "dz", "dx")   # integer or null in a payload
 
 
 def payload_id(payload: dict) -> str:
@@ -131,12 +132,14 @@ class Catalog:
                         fh.seek(start)
                         try:
                             entry = _parse(fh.read(end - start))
-                        except (ValueError, KeyError, TypeError):
-                            entry = None
-                        if entry is None or entry.id != eid:
+                            why = (None if entry.id == eid
+                                   else f"no longer holds entry {eid}")
+                        except (ValueError, KeyError, TypeError) as exc:
+                            why = f"holds no valid entry ({exc})"
+                        if why:
                             raise QctError(
                                 f"cannot read catalog {self.path}: byte "
-                                f"{start} no longer holds entry {eid}; "
+                                f"{start} {why}; "
                                 f"delete {self.index_path} if this persists")
                         found[eid] = entry
             except OSError as exc:
@@ -149,6 +152,10 @@ class Catalog:
         if not isinstance(payload, dict):
             raise QctError("catalog payload must be a JSON object, not "
                            f"{type(payload).__name__}")
+        bad = _bad_search_key(payload)
+        if bad:
+            raise QctError(f"catalog payload key {bad!r} must be an integer "
+                           f"or null, not {payload[bad]!r}")
         inputs = list(inputs)
         for ref in inputs:
             if ref not in self._rows:
@@ -207,9 +214,7 @@ class Catalog:
             if q is not None and (rq[0] != q if rq is not None
                                   else pe is None or rpe != pe):
                 continue
-            if dz_min is not None and (rdz or 0) < dz_min:
-                continue
-            if dx_min is not None and (rdx or 0) < dx_min:
+            if not (_at_least(rdz, dz_min) and _at_least(rdx, dx_min)):
                 continue
             hits.append(eid)
         return sorted(self._read(hits), key=lambda e: e.created)
@@ -221,7 +226,29 @@ def _parse(line: bytes) -> CatalogEntry:
                          rec["created"], rec.get("inputs", []))
     if not isinstance(entry.payload, dict):
         raise TypeError("payload is not a JSON object")
+    bad = _bad_search_key(entry.payload)
+    if bad:
+        raise TypeError(f"payload key {bad!r} is not an integer or null")
+    if not isinstance(entry.created, str):
+        raise TypeError("created is not a string")
     return entry
+
+
+def _bad_search_key(payload: dict):
+    """The first of the keys `search` compares that holds neither an
+    integer nor null, or None."""
+    for key in SEARCH_KEYS:
+        if payload.get(key) is not None and not _is_int(payload[key]):
+            return key
+    return None
+
+
+def _at_least(value, floor) -> bool:
+    """`search`'s minimum test: a missing value counts as 0, and a value
+    that is not an integer (from an index older than the key checks) never
+    passes."""
+    value = 0 if value is None else value
+    return floor is None or (_is_int(value) and value >= floor)
 
 
 def _row(entry: CatalogEntry, start, end) -> list:

@@ -5,13 +5,17 @@ the coefficients of its polynomial representative, constant term first.  All
 fields are built deterministically: the modulus is the lexicographically
 smallest monic irreducible polynomial of the right degree and the generator
 is the smallest primitive element, so serialized artifacts are reproducible.
+
+Subfield embeddings, trace maps, Gram matrices and (self-)dual bases are
+built from whole-field arrays computed once per field pair (see
+`Embedding`), not element by element.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -392,7 +396,12 @@ def field_from_json(rec: dict) -> Field:
 
 class Embedding:
     """Field homomorphism GF(p^s) -> GF(p^(s*m)) mapping the subfield modulus
-    root to its smallest root in the extension."""
+    root to its smallest root in the extension.
+
+    Everything is a whole-field array built once per field pair: `image`
+    holds the image of every subfield element, `preimage` the subfield
+    element of every extension element (-1 off the image), and `traces`,
+    built on first use, the trace of every extension element."""
 
     def __init__(self, sub: Field, ext: Field):
         if sub.p != ext.p or ext.e % sub.e != 0:
@@ -400,62 +409,51 @@ class Embedding:
         self.sub = sub
         self.ext = ext
         self.m = ext.e // sub.e
-        if sub.e == 1:
-            # prime subfield: constants embed as themselves
-            self.root = 1 if sub.order > 1 else 1
-            self._up = {a: a for a in range(sub.order)}
-        else:
-            root = None
-            for x in range(ext.order):
-                acc = 0
-                xp = 1
-                for c in sub.modulus:
-                    if c:
-                        acc = ext.add(acc, ext.mul(c % ext.p, xp))
-                    xp = ext.mul(xp, x)
-                if acc == 0:
-                    root = x
-                    break
-            if root is None:
-                raise FieldError("subfield modulus has no root in extension")
-            self.root = root
-            up = {}
-            for a in range(sub.order):
-                acc = 0
-                rp = 1
-                for d in _digits(a, sub.p, sub.e):
-                    if d:
-                        acc = ext.add(acc, ext.mul(d, rp))
-                    rp = ext.mul(rp, root)
-                up[a] = acc
-            self._up = up
-        self._down = {v: k for k, v in self._up.items()}
+        # the subfield modulus at every extension element, by Horner's rule
+        xs = np.arange(ext.order, dtype=np.int64)
+        acc = np.zeros(ext.order, dtype=np.int64)
+        for c in reversed(sub.modulus):
+            acc = ext.vadd(ext.vmul(acc, xs), c)
+        roots = np.flatnonzero(acc == 0)
+        if not roots.size:
+            raise FieldError("subfield modulus has no root in extension")
+        self.root = int(roots[0])
+        # a subfield element is the sum of its base-p digits times root^t
+        image = np.zeros(sub.order, dtype=np.int64)
+        subs = np.arange(sub.order, dtype=np.int64)
+        for t in range(sub.e):
+            digit = (subs // sub.p ** t) % sub.p
+            image = ext.vadd(image, ext.vmul(digit, ext.pow(self.root, t)))
+        self.image = image
+        self.preimage = np.full(ext.order, -1, dtype=np.int64)
+        self.preimage[image] = subs
 
-    def up(self, a: int) -> int:
-        return self._up[a]
+    @cached_property
+    def traces(self) -> np.ndarray:
+        """Tr_{ext/sub}(x) = sum of x^(q^i), i < m, for every extension
+        element x, as subfield elements: m Frobenius steps over the field."""
+        xs = np.arange(self.ext.order, dtype=np.int64)
+        acc = np.zeros_like(xs)
+        for _ in range(self.m):
+            acc = self.ext.vadd(acc, xs)
+            xs = self.ext.vpow(xs, self.sub.order)
+        return self.down(acc)
 
-    def down(self, x: int) -> int:
-        try:
-            return self._down[x]
-        except KeyError:
-            raise FieldError(f"element {x} of {self.ext} is not in {self.sub}")
+    def down(self, x):
+        """The subfield element of extension element `x`, or the elements of
+        an array of them as a numpy array; FieldError off the subfield."""
+        out = self.preimage[x]
+        if (out < 0).any():
+            bad = np.asarray(x)[out < 0].flat[0]
+            raise FieldError(f"element {bad} of {self.ext} is not in "
+                             f"{self.sub}")
+        return int(out) if np.ndim(out) == 0 else out
 
 
 @lru_cache(maxsize=None)
 def get_embedding(sub: Field, ext: Field) -> Embedding:
     """The embedding GF(sub) -> GF(ext), one per pair of (value-equal) fields."""
     return Embedding(sub, ext)
-
-
-def trace(x: int, emb: Embedding) -> int:
-    """Tr_{ext/sub}(x) = sum of x^(q^i), mapped down into the subfield."""
-    q = emb.sub.order
-    acc = 0
-    t = x
-    for _ in range(emb.m):
-        acc = emb.ext.add(acc, t)
-        t = emb.ext.pow(t, q)
-    return emb.down(acc)
 
 
 @dataclass(frozen=True)
@@ -471,19 +469,8 @@ class ExtensionBasis:
 
     def gram(self) -> np.ndarray:
         """Trace Gram matrix [Tr(a_i a_j)] with entries in the subfield."""
-        els = self.elements
-        ext = self.emb.ext
-        g = np.zeros((self.m, self.m), dtype=np.int64)
-        for i in range(self.m):
-            for j in range(i, self.m):
-                t = trace(ext.mul(els[i], els[j]), self.emb)
-                g[i, j] = g[j, i] = t
-        return g
-
-    def is_valid(self) -> bool:
-        from . import gflinalg
-        return len(self.elements) == self.m and \
-            gflinalg.rank(self.gram(), self.emb.sub) == self.m
+        els = np.array(self.elements, dtype=np.int64)
+        return self.emb.traces[self.emb.ext.vmul(els[:, None], els)]
 
     def is_self_dual(self) -> bool:
         return bool(np.array_equal(self.gram(), np.eye(self.m, dtype=np.int64)))
@@ -499,18 +486,11 @@ def find_dual_basis(basis: ExtensionBasis) -> ExtensionBasis:
     """The unique basis B' with Tr(a_i b_j) = delta_ij."""
     from . import gflinalg
     emb = basis.emb
-    sub, ext = emb.sub, emb.ext
-    g = basis.gram()
-    ginv = gflinalg.inv_matrix(g, sub)
-    duals = []
-    for j in range(basis.m):
-        acc = 0
-        for i in range(basis.m):
-            c = int(ginv[i, j])
-            if c:
-                acc = ext.add(acc, ext.mul(emb.up(c), basis.elements[i]))
-        duals.append(acc)
-    return ExtensionBasis(emb, tuple(duals))
+    ginv = gflinalg.inv_matrix(basis.gram(), emb.sub)
+    # b_j = sum_i ginv[i, j] a_i, for all j at once
+    terms = emb.ext.vmul(emb.image[ginv],
+                         np.array(basis.elements, dtype=np.int64)[:, None])
+    return ExtensionBasis(emb, tuple(reduce(emb.ext.vadd, terms).tolist()))
 
 
 def self_dual_basis_exists(sub: Field, m: int) -> bool:
@@ -531,15 +511,13 @@ def find_self_dual_basis(sub: Field, ext: Field, seed: int = 0):
     m = emb.m
     if not self_dual_basis_exists(sub, m):
         return None
-    q = sub.order
-    ext_one = 1
-    # trace of every extension element, as a subfield element
-    tr = [trace(x, emb) for x in range(ext.order)]
+    tr = emb.traces.tolist()
 
     def trp(x, y):
         return tr[ext.mul(x, y)]
 
-    unit_cands = [x for x in range(1, ext.order) if trp(x, x) == 1]
+    xs = np.arange(1, ext.order, dtype=np.int64)
+    unit_cands = xs[emb.traces[ext.vmul(xs, xs)] == 1].tolist()
 
     nodes = 0
 

@@ -38,6 +38,9 @@ d >= 2 when no weight-1 word lies in C2 \\ C1.  The exact methods are
 weight-1 word, `witness_meets_nonzero`.  Otherwise the result is a lower
 bound (method `bch_bound`, `no_weight_one` or `declared`) whose `upper` is
 the witness weight.  A declared distance is never a certificate.
+
+A basis expansion reads a whole-field coordinate table, built once per
+basis by one GF(p) product, with one lookup for all generator rows.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, combinations
 
 import numpy as np
@@ -527,93 +530,61 @@ def mds_witness(code: LinearCode) -> tuple:
 
 # -- subfield expansion -------------------------------------------------------
 
-class BasisExpander:
-    """Coordinate map GF(q^m) -> GF(q)^m with respect to a fixed basis."""
-
-    def __init__(self, basis: ExtensionBasis):
-        emb = basis.emb
-        sub, ext = emb.sub, emb.ext
-        p = ext.p
-        prime = build_field(p, 1)
-        m = emb.m
-        if len(basis.elements) != m:
-            raise CodeError("basis size does not match extension degree")
-        cols = []
-        for alpha in basis.elements:
-            for t in range(sub.e):
-                unit = p ** t
-                val = ext.mul(emb.up(unit), alpha)
-                cols.append([(val // p ** i) % p for i in range(ext.e)])
-        a = np.array(cols, dtype=np.int64).T  # ext.e x (m*sub.e)
-        self._ainv = gflinalg.inv_matrix(a, prime)
-        self._prime = prime
-        self.basis = basis
-        self.sub, self.ext, self.m = sub, ext, m
-        # per-element coordinate table
-        table = np.zeros((ext.order, m), dtype=np.int64)
-        pe = np.array([p ** i for i in range(ext.e)], dtype=np.int64)
-        for x in range(ext.order):
-            digs = (x // pe) % p
-            coords = gflinalg.matmul(self._ainv, digs[:, None], prime)[:, 0]
-            for i in range(m):
-                v = 0
-                for t in reversed(range(sub.e)):
-                    v = v * p + int(coords[i * sub.e + t])
-                table[x, i] = v
-        self.table = table
-
-    def expand_vector(self, v):
-        return self.table[np.asarray(v, dtype=np.int64)].reshape(-1)
-
-
 @lru_cache(maxsize=None)
-def _expander(basis: ExtensionBasis) -> BasisExpander:
-    return BasisExpander(basis)
+def _coordinates(basis: ExtensionBasis) -> np.ndarray:
+    """The coordinates of every extension element in `basis`, as a
+    (q^m, m) table of subfield elements.  Column j of the GF(p) matrix A
+    holds the digits of u_t.a_i, j = i.s + t, for the embedded subfield
+    monomials u_t = p^t; the GF(p) coordinates of all elements are their
+    digits times A^-1, in one product."""
+    emb = basis.emb
+    sub, ext, m = emb.sub, emb.ext, emb.m
+    if len(basis.elements) != m:
+        raise CodeError("basis size does not match extension degree")
+    p = ext.p
+    ext_weights = p ** np.arange(ext.e, dtype=np.int64)
+    units = emb.image[p ** np.arange(sub.e, dtype=np.int64)]
+    cols = ext.vmul(units, np.array(basis.elements, dtype=np.int64)[:, None])
+    a = (cols.reshape(-1) // ext_weights[:, None]) % p
+    ainv = gflinalg.inv_matrix(a, build_field(p, 1))
+    digits = (np.arange(ext.order, dtype=np.int64)[:, None] // ext_weights) % p
+    coords = (digits @ ainv.T) % p
+    table = coords.reshape(ext.order, m, sub.e) @ (p ** np.arange(sub.e))
+    table.setflags(write=False)
+    return table
+
+
+def _expanded(code: LinearCode, basis: ExtensionBasis, parity: bool,
+              provenance: str, declared_distance=None) -> LinearCode:
+    """Rows b.r for each generator row r and basis element b, each symbol
+    replaced by its coordinates and, with `parity`, their negated sum."""
+    if basis.emb.ext != code.field:
+        raise CodeError("basis extension field does not match the code's field")
+    if parity and not is_mds(code):
+        raise PreconditionError("parity-augmented expansion requires an MDS code")
+    sub, m = basis.emb.sub, basis.m
+    words = code.field.vmul(np.array(basis.elements, dtype=np.int64)[:, None],
+                            code.matrix[:, None, :])
+    coords = _coordinates(basis)[words]
+    if parity:
+        total = reduce(sub.vadd, np.moveaxis(coords, -1, 0))
+        coords = np.concatenate([coords, sub.vneg(total)[..., None]], axis=-1)
+    out = LinearCode(sub, coords.reshape(code.k * m, code.n * coords.shape[-1]),
+                     provenance=provenance,
+                     declared_distance=declared_distance)
+    if out.k != code.k * m:
+        raise CodeError("expansion lost rank; basis is not a basis")
+    return out
 
 
 def expand_basis(code: LinearCode, basis: ExtensionBasis) -> LinearCode:
     """Phi_B image: [n,k] over GF(q^m) -> [nm,km] over GF(q)."""
-    if basis.emb.ext != code.field:
-        raise CodeError("basis extension field does not match the code's field")
-    exp = _expander(basis)
-    rows = []
-    for r in code.matrix:
-        for b in basis.elements:
-            rows.append(exp.expand_vector(code.field.vmul(b, r)))
-    out = LinearCode(exp.sub, np.array(rows, dtype=np.int64),
-                     provenance=f"expand({code.provenance})")
-    if out.k != code.k * exp.m:
-        raise CodeError("expansion lost rank; basis is not a basis")
-    return out
+    return _expanded(code, basis, False, f"expand({code.provenance})")
 
 
 def expand_with_parity(code: LinearCode, basis: ExtensionBasis) -> LinearCode:
     """Phi_B image with an overall parity symbol per coordinate block:
     an MDS [n,k] code over GF(q^m) becomes [(m+1)n, km] over GF(q) with
     declared distance 2(n-k+1)."""
-    if basis.emb.ext != code.field:
-        raise CodeError("basis extension field does not match the code's field")
-    if not is_mds(code):
-        raise PreconditionError("parity-augmented expansion requires an MDS code")
-    exp = _expander(basis)
-    sub = exp.sub
-    m = exp.m
-    # per-symbol expansion table with trailing parity entry
-    ext_tab = np.zeros((exp.ext.order, m + 1), dtype=np.int64)
-    ext_tab[:, :m] = exp.table
-    for x in range(exp.ext.order):
-        s = 0
-        for i in range(m):
-            s = sub.add(s, int(exp.table[x, i]))
-        ext_tab[x, m] = sub.neg(s)
-    rows = []
-    for r in code.matrix:
-        for b in basis.elements:
-            v = code.field.vmul(b, r)
-            rows.append(ext_tab[np.asarray(v, dtype=np.int64)].reshape(-1))
-    out = LinearCode(sub, np.array(rows, dtype=np.int64),
-                     provenance=f"expand_parity({code.provenance})",
-                     declared_distance=2 * (code.n - code.k + 1))
-    if out.k != code.k * m:
-        raise CodeError("expansion lost rank; basis is not a basis")
-    return out
+    return _expanded(code, basis, True, f"expand_parity({code.provenance})",
+                     2 * (code.n - code.k + 1))

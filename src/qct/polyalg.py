@@ -187,4 +187,4 @@ def generator_from_defining_set(t: DefiningSet, field: Field) -> list[int]:
     for j in t.sorted_exponents:
         minus_root = ext.neg(ext.pow(alpha, j))
         g = ext.vadd(np.append(0, g), ext.vmul(minus_root, np.append(g, 0)))
-    return [emb.down(int(c)) for c in g]
+    return emb.down(g).tolist()

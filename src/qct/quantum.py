@@ -7,6 +7,7 @@ in the provenance together with every verification the pipeline performed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 from . import families, lincode
@@ -413,11 +414,16 @@ def negacyclic_expand_aqc(q: int, n: int, s: int, m: int) -> AqcParams:
 
 
 def bounds(kind: str, **args) -> int:
-    """Carlitz-Uchiyama and Singleton bound calculators."""
+    """Carlitz-Uchiyama and Singleton bound calculators.
+
+    Carlitz-Uchiyama: every nonzero weight of B(2t+1)^perp, n = 2^m - 1, is
+    at least 2^(m-1) - (t-1).2^(m/2), in exact integers; a vacuous value
+    (below 1) is reported as 1.  t = floor(delta/2), since the binary
+    narrow-sense B(2t) equals B(2t+1)."""
     if kind == "carlitz_uchiyama":
         m, delta = args["m"], args["delta"]
-        root = 2 ** (m // 2) if m % 2 == 0 else int(2 ** (m / 2))
-        return 2 ** (m - 1) - root * ((delta - 1) // 2)
+        t = delta // 2
+        return max(1, 2 ** (m - 1) - math.isqrt((t - 1) ** 2 * 2 ** m))
     if kind == "singleton_wt":
         m, delta = args["m"], args["delta"]
         return m * ((delta - 1) // 2) + 1

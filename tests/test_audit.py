@@ -1,7 +1,10 @@
+import dataclasses
+
 import pytest
 
-from qct import audit, polyalg
+from qct import audit, polyalg, quantum
 from qct.errors import QctError
+from qct.lincode import Bound
 
 
 def rows_by_claim(report):
@@ -90,6 +93,24 @@ def test_examples_classification():
     assert rows["[[31,22,{4,3}]]_16"].status == "inconsistent"
     assert rows["[[511,304,{31,17}]]_2"].status == "formula-consistent"
     assert rows["[[255,183,{15,5}]]_2"].status == "formula-consistent"
+
+
+def test_bch_examples_with_exact_distances_are_confirmed(monkeypatch):
+    """Example rows follow Table 3's rule: a rebuilt record that matches
+    its row with both distances exact confirms it."""
+    lemma_bch1 = quantum.lemma_bch1
+
+    def exact_lemma(*args):
+        rec = lemma_bch1(*args)
+        return dataclasses.replace(
+            rec, dz=Bound(rec.dz.value, "exact", "enumeration"),
+            dx=Bound(rec.dx.value, "exact", "enumeration"))
+
+    monkeypatch.setattr(quantum, "lemma_bch1", exact_lemma)
+    rows = rows_by_claim(audit.audit_table("examples"))
+    assert rows["[[511,304,{31,17}]]_2"].status == "confirmed"
+    assert rows["[[255,183,{15,5}]]_2"].status == "confirmed"
+    assert rows["[[31,14,{7,3}]]_16"].status == "formula-consistent"
 
 
 def test_report_json_and_lines():

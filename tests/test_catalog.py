@@ -65,6 +65,39 @@ def test_search_predicates(tmp_path):
     assert cat.search(n=3, q=2) == [] and cat.search(n=3, q=6) == []
 
 
+@pytest.mark.parametrize("key,value", [("n", "7"), ("k", 1.5), ("q", [4]),
+                                       ("dz", "x"), ("dx", True)])
+def test_put_refuses_non_integer_search_keys(tmp_path, key, value):
+    path = tmp_path / "cat.jsonl"
+    cat = Catalog(str(path))
+    with pytest.raises(QctError, match=f"key '{key}' must be an integer"):
+        cat.put("quantum", {"n": 7, key: value})
+    assert not path.exists()
+    cat.put("quantum", {"n": 7, key: None})
+    assert len(cat.search()) == 1
+
+
+def test_search_skips_non_integer_keys_of_an_older_index(tmp_path,
+                                                         monkeypatch):
+    """An index written while a payload could still hold a non-integer dz
+    or dx: the load trusts it, and search leaves those rows out of its
+    minimum tests without comparing them."""
+    path = tmp_path / "cat.jsonl"
+    monkeypatch.setattr(catalog, "_bad_search_key", lambda payload: None)
+    cat = Catalog(str(path))
+    good = cat.put("quantum", {"n": 7, "dz": 3, "dx": 2})
+    cat.put("quantum", {"n": 7, "dz": "x", "dx": [2]})
+    Catalog(str(path))
+    monkeypatch.undo()
+    calls = _count_parses(monkeypatch)
+    cat = Catalog(str(path))
+    assert calls == []
+    assert [e.id for e in cat.search(dz_min=2)] == [good.id]
+    assert [e.id for e in cat.search(n=7, dx_min=1)] == [good.id]
+    with pytest.raises(QctError, match="payload key 'dz'"):
+        cat.search(n=7)   # a hit is parsed, and its line checked
+
+
 def test_corrupt_file_surfaced_with_path(tmp_path):
     path = tmp_path / "cat.jsonl"
     path.write_text("not json\n")

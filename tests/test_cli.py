@@ -260,6 +260,20 @@ def test_bad_field_record_exits_one(no_big_factoring, tmp_path, capsys,
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("extra", [[], ["--parity"]])
+def test_expand_of_zero_generator_exits_one(tmp_path, capsys, extra):
+    assert run_cli(["code", "build", "rs", "--q", "4", "--k", "2",
+                    "--json"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    rec["generator"], rec["k"] = [[0, 0, 0]], None
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(rec))
+    assert run_cli(["code", "expand", str(path), "--sub-q", "2",
+                    *extra]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: generator matrix must be a non-empty 2-d array\n"
+
+
 @pytest.mark.parametrize("args,code", [
     (["field", "--p", "1000000000000000003"], 1),
     (["field", "--p", "2", "--e", "-3"], 1),
@@ -302,6 +316,16 @@ STORED = json.dumps({"id": "a" * 64, "kind": "quantum", "payload": {"n": 7},
                  id="non-object-payload-line"),
     pytest.param(STORED + b'\n{"id": "cut', ["catalog", "list"], 0,
                  "skipped unterminated line 2", id="cut-short-tail"),
+    pytest.param(b"", ["catalog", "put", "{tmp}/text_dz.json", "--kind",
+                       "quantum"], 1, "'dz' must be an integer",
+                 id="non-integer-key-payload"),
+    pytest.param(STORED + b"\n" + STORED.replace(b'{"n": 7}',
+                                                 b'{"n": 7, "dz": "x"}')
+                 + b"\n", ["catalog", "search", "--dz-min", "2"], 1,
+                 "line 2", id="non-integer-key-line"),
+    pytest.param(STORED + b"\n" + STORED.replace(
+                     b'"2026-01-01T00:00:00+00:00"', b"5") + b"\n",
+                 ["catalog", "list"], 1, "line 2", id="non-string-created"),
 ])
 def test_catalog_exit_codes(tmp_path, capsys, monkeypatch, store, args, code,
                             message):
@@ -309,6 +333,7 @@ def test_catalog_exit_codes(tmp_path, capsys, monkeypatch, store, args, code,
     twice: without the index and then with the one the first run wrote."""
     monkeypatch.delenv("QCT_CATALOG", raising=False)
     (tmp_path / "array.json").write_text("[1, 2]")
+    (tmp_path / "text_dz.json").write_text('{"n": 7, "dz": "x"}')
     cat = tmp_path / "cat.jsonl"
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in args]
     if store is not None:

@@ -62,7 +62,7 @@ def test_phi_hermitian_duality_conjugated_dual_basis(sub_spec, ext_spec):
     dual_basis = find_dual_basis(basis)
     conj = ExtensionBasis(emb, tuple(ext.pow(b, sub.order)
                                      for b in dual_basis.elements))
-    assert conj.is_valid()
+    assert gflinalg.rank(conj.gram(), sub) == len(conj.elements) == emb.m
     rng = np.random.default_rng(13)
     for c in random_codes(ext, rng, 50):
         lhs = expand_basis(c.hermitian_dual(), conj)

@@ -4,7 +4,7 @@ import pytest
 from qct import families, quantum
 from qct.errors import CodeError, PreconditionError
 from qct.galois import build_field
-from qct.lincode import Bound, LinearCode, relative_min_weight
+from qct.lincode import Bound, LinearCode, min_distance, relative_min_weight
 from qct.quantum import AqcParams
 
 F2 = build_field(2, 1)
@@ -113,7 +113,7 @@ def test_lemma_bch1_table3_rows():
         assert (rec.n, rec.k, rec.dz.value, rec.dx.value) == (1023, k, 31, d1)
         assert rec.dz.kind == "lower_bound"
         bounds = rec.provenance["bounds"]
-        assert bounds["dz"]["dual_carlitz_uchiyama_lower"] == 32
+        assert bounds["dz"]["dual_carlitz_uchiyama_lower"] == 64
         assert bounds["dz"]["singleton_wt_upper"] == 151
 
 
@@ -238,8 +238,22 @@ def test_negacyclic_expand_aqc():
 
 
 def test_bounds():
-    assert quantum.bounds("carlitz_uchiyama", m=10, delta=31) == 32
+    assert quantum.bounds("carlitz_uchiyama", m=10, delta=31) == 64
     assert quantum.bounds("singleton_wt", m=10, delta=31) == 151
     assert quantum.bounds("singleton", n=5, k=5) == 1
     with pytest.raises(PreconditionError):
         quantum.bounds("nope")
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_carlitz_uchiyama_bound_holds_on_bch_duals(m):
+    """For every delta from 2 to 2^ceil(m/2) - 1, odd or even (the binary
+    B(2t) is B(2t+1)), the enumerated minimum distance of B(delta)^perp
+    meets the bound; a vacuous value reads 1."""
+    for delta in range(2, 2 ** ((m + 1) // 2)):
+        dual = families.bch_narrow_sense(F2, 2 ** m - 1, delta).dual()
+        d = min_distance(dual)
+        assert d.exact
+        assert d.value >= quantum.bounds("carlitz_uchiyama", m=m, delta=delta)
+    assert quantum.bounds("carlitz_uchiyama", m=9, delta=31) == 1
+    assert quantum.bounds("carlitz_uchiyama", m=4, delta=4) == 4
