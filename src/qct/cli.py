@@ -354,15 +354,24 @@ def quantum_negaexp(q, n, s, m, as_json):
 @click.option("--kind", required=True,
               type=click.Choice(["carlitz_uchiyama", "singleton_wt",
                                  "singleton"]))
-@click.option("--m", type=int, default=None)
+@click.option("--m", type=click.IntRange(min=1), default=None)
 @click.option("--delta", type=int, default=None)
 @click.option("--n", type=int, default=None)
 @click.option("--k", type=int, default=None)
-def quantum_bound(kind, m, delta, n, k):
+@click.option("--json", "as_json", is_flag=True)
+def quantum_bound(kind, m, delta, n, k, as_json):
     args = {key: val for key, val in
             (("m", m), ("delta", delta), ("n", n), ("k", k))
             if val is not None}
-    click.echo(str(quantum.bounds(kind, **args)))
+    try:
+        value = quantum.bounds(kind, **args)
+    except KeyError as exc:   # an argument the kind reads was not given
+        raise click.UsageError(
+            f"--{exc.args[0]} is required for --kind {kind}") from None
+    if as_json:
+        _echo_json({"kind": kind, **args, "value": value})
+    else:
+        click.echo(str(value))
 
 
 # -- audit --------------------------------------------------------------------

@@ -288,6 +288,8 @@ class Field:
     def vmul(self, a, b):
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
+        if self.order == 2:
+            return a & b
         nz = (a != 0) & (b != 0)
         la = self.log[np.where(a != 0, a, 1)]
         lb = self.log[np.where(b != 0, b, 1)]

@@ -75,12 +75,10 @@ def nullspace(mat, field: Field):
     a = np.asarray(mat, dtype=np.int64)
     _, cols = a.shape
     r, pivots = rref(a, field)
-    free = [c for c in range(cols) if c not in pivots]
+    free = np.setdiff1d(np.arange(cols), pivots, assume_unique=True)
     out = np.zeros((len(free), cols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        out[i, fc] = 1
-        for j, pc in enumerate(pivots):
-            out[i, pc] = field.neg(int(r[j, fc]))
+    out[np.arange(len(free)), free] = 1
+    out[:, pivots] = field.vneg(r[:, free]).T
     return out
 
 

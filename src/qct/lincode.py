@@ -30,10 +30,14 @@ best weight below the bound refutes it and raises CodeError.
 
 Above the cap (q^k > cap) nothing is enumerated.  A Lee-Brickell
 information-set search (p <= 2, a fixed seed and a fixed number of
-information sets) looks for a light codeword in the same digit planes, and
-the result is exact only when that witness, checked to be in the code and
-outside C1, meets a certified lower bound: the design (BCH) distance, or
-d >= 2 when no weight-1 word lies in C2 \\ C1.  The exact methods are
+information sets) looks for a light codeword in the same digit planes.
+Each information set is found by eliminating the smaller of G and H: the
+complement of the first information set of G, in column order, is the
+first one of H taken from the right (matroid duality), so a high-rate code
+takes n - k pivot steps per set instead of k.  The result is exact only
+when that witness, checked to be in the code and outside C1, meets a
+certified lower bound: the design (BCH) distance, or d >= 2 when no
+weight-1 word lies in C2 \\ C1.  The exact methods are
 `witness_meets_bch_bound`, `witness_meets_no_weight_one` and, for a
 weight-1 word, `witness_meets_nonzero`.  Otherwise the result is a lower
 bound (method `bch_bound`, `no_weight_one` or `declared`) whose `upper` is
@@ -272,9 +276,10 @@ def _digit_planes(f: Field, vals: np.ndarray, n: int) -> np.ndarray:
     positions [0, n) and [n, N) starting separate words; for odd p each
     digit is one small unsigned integer.
     """
-    digits = (vals[..., None, :] // f.p ** np.arange(f.e)[:, None]) % f.p
     if f.p != 2:
+        digits = (vals[..., None, :] // f.p ** np.arange(f.e)[:, None]) % f.p
         return digits.astype(np.min_scalar_type(2 * (f.p - 1)))
+    digits = (vals[..., None, :] >> np.arange(f.e)[:, None]) & 1
     parts = []
     for part in (digits[..., :n], digits[..., n:]):
         pad = -part.shape[-1] % 64
@@ -295,17 +300,6 @@ def _plane_adder(p: int):
         np.subtract(s, p, out=s, where=s >= p)
         return s
     return add
-
-
-def _with_syndromes(code: LinearCode, exclude: LinearCode | None):
-    """The generator of `code`, with the syndrome columns G.H^T of `exclude`
-    appended when given: a codeword lies outside `exclude` exactly when its
-    syndrome digits are nonzero."""
-    g = code.matrix
-    if exclude is None:
-        return g
-    return np.concatenate(
-        [g, gflinalg.matmul(g, exclude.parity_check().T, code.field)], axis=1)
 
 
 def _weights(f: Field, block: np.ndarray, n: int, wc: int,
@@ -348,7 +342,10 @@ def _enumerate(code: LinearCode, exclude: LinearCode | None):
     f = code.field
     p, q = f.p, f.order
     k, n = code.matrix.shape
-    g = _with_syndromes(code, exclude)
+    g = code.matrix
+    if exclude is not None:   # syndrome columns G.H^T of `exclude`
+        g = np.concatenate(
+            [g, gflinalg.matmul(g, exclude.parity_check().T, f)], axis=1)
     # scaled[j, c] = digit planes of c * row j
     scaled = _digit_planes(f, f.vmul(np.arange(q)[:, None, None], g[None]),
                            n).transpose(1, 0, 2, 3)
@@ -389,29 +386,62 @@ def _enumerate(code: LinearCode, exclude: LinearCode | None):
     return best_w, tuple(int(x) for x in _word(f, best, n, wc))
 
 
+def _systematic(code: LinearCode, perm):
+    """rref(code.matrix[:, perm]) and its pivots, from whichever of G and H
+    has fewer rows.
+
+    The pivots are the first information set J in column order.  Its
+    complement D is the first basis of the dual matroid taken from the
+    right, so a high-rate code finds D by a rref of the column-reversed
+    H[:, perm], in n - k pivot steps instead of k.  Then R[:, J] = I and
+    R[:, D] = -B[:, J]^T, with B that rref in forward column order; the
+    rref is unique, so R is the same array either way."""
+    f = code.field
+    n, k = code.n, code.k
+    if 2 * k <= n or k == n:
+        return gflinalg.rref(code.matrix[:, perm], f)
+    b, rev = gflinalg.rref(code.parity_check()[:, perm][:, ::-1], f)
+    b = b[::-1, ::-1]   # forward columns; row i has its pivot at d[i]
+    d = [n - 1 - c for c in reversed(rev)]
+    j = np.setdiff1d(np.arange(n), d, assume_unique=True)
+    r = np.zeros((k, n), dtype=np.int64)
+    r[np.arange(k), j] = 1
+    r[:, d] = f.vneg(b[:, j]).T
+    return r, j.tolist()
+
+
 def _witness_search(code: LinearCode, exclude: LinearCode | None,
                     target: int):
     """Lee-Brickell search with p <= 2 (Lee & Brickell 1988).
 
     Each of _SEARCH_SETS information sets comes from one column shuffle
-    (stdlib `random`, seed 0) and one rref, which gives a systematic
-    generator R.  Every word R_i + c.R_j (c in GF(q), j any row) is a
-    candidate; the lightest one outside `exclude` (nonzero when `exclude`
-    is None) is kept.  The search stops once its weight reaches `target`.
+    (stdlib `random`, seed 0) and the systematic generator R of _systematic,
+    one rref of the smaller of G and H: the complement of the first
+    information set of G is the first one of H taken from the right
+    (matroid duality).  With S = H1^T[perm] for the parity check H1 of
+    `exclude`, J the information set and D the other columns, the syndrome
+    columns of R are R.S = S[J] + R[:, D].S[D], one product over n - k
+    terms.  Every word R_i + c.R_j (c in GF(q), j any row) is a candidate;
+    the lightest one outside `exclude` (nonzero when `exclude` is None) is
+    kept.  The search stops once its weight reaches `target`.
     Returns (weight, word), the word in the code's own coordinates."""
     f = code.field
     n = code.n
-    g = _with_syndromes(code, exclude)
+    syn = None if exclude is None else exclude.parity_check().T
     wc = -(-n // 64) if f.p == 2 else n
     add = _plane_adder(f.p)
     rng = random.Random(0)
     perm = list(range(n))
-    tail = list(range(n, g.shape[1]))
     best_w, best = n + 1, None
     for _ in range(_SEARCH_SETS):
         rng.shuffle(perm)
-        r, _ = gflinalg.rref(g[:, perm + tail], f)
+        r, piv = _systematic(code, perm)
         k = len(r)
+        if syn is not None:
+            s = syn[perm]
+            d = np.setdiff1d(np.arange(n), piv, assume_unique=True)
+            r = np.concatenate(
+                [r, f.vadd(s[piv], gflinalg.matmul(r[:, d], s[d], f))], axis=1)
         # rows[(c - 1) * k + j] = digit planes of c * R_j
         rows = _digit_planes(
             f, f.vmul(np.arange(1, f.order)[:, None, None], r[None]), n)

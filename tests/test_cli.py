@@ -358,3 +358,45 @@ def test_non_object_payload_is_refused_and_search_still_works(tmp_path,
     assert err == "error: catalog payload must be a JSON object, not list\n"
     assert run_cli(["--catalog", cat, "catalog", "search", "--n", "7"]) == 0
     assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("kind,args,value", [
+    ("carlitz_uchiyama", {"m": 10, "delta": 31}, 64),
+    ("singleton_wt", {"m": 7, "delta": 5}, 15),
+    ("singleton", {"n": 10, "k": 4}, 7),
+])
+def test_quantum_bound_text_and_json(capsys, kind, args, value):
+    argv = ["quantum", "bound", "--kind", kind]
+    for key, val in args.items():
+        argv += [f"--{key}", str(val)]
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == f"{value}\n"
+    assert run_cli([*argv, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"kind": kind, **args, "value": value}
+
+
+@pytest.mark.parametrize("kind,given,missing", [
+    ("carlitz_uchiyama", ["--delta", "31"], "--m"),
+    ("carlitz_uchiyama", ["--m", "10"], "--delta"),
+    ("singleton_wt", ["--delta", "5"], "--m"),
+    ("singleton_wt", ["--m", "7"], "--delta"),
+    ("singleton", ["--k", "4"], "--n"),
+    ("singleton", ["--n", "10"], "--k"),
+])
+@pytest.mark.parametrize("as_json", [[], ["--json"]])
+def test_quantum_bound_missing_argument_exits_two(capsys, kind, given,
+                                                  missing, as_json):
+    assert run_cli(["quantum", "bound", "--kind", kind, *given,
+                    *as_json]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"usage error: {missing} is required for --kind {kind}\n"
+
+
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_quantum_bound_m_must_be_positive(capsys, m):
+    assert run_cli(["quantum", "bound", "--kind", "carlitz_uchiyama",
+                    "--m", m, "--delta", "3"]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
