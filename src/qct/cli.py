@@ -13,7 +13,7 @@ import click
 from . import audit as audit_mod
 from . import families, lincode, quantum
 from .catalog import Catalog
-from .errors import QctError
+from .errors import PreconditionError, QctError
 from .galois import (build_field, field_from_q, find_dual_basis,
                      find_self_dual_basis, get_embedding, standard_basis)
 from .lincode import DEFAULT_CAP, min_distance
@@ -368,6 +368,8 @@ def quantum_bound(kind, m, delta, n, k, as_json):
     except KeyError as exc:   # an argument the kind reads was not given
         raise click.UsageError(
             f"--{exc.args[0]} is required for --kind {kind}") from None
+    except PreconditionError as exc:
+        raise click.UsageError(str(exc)) from None
     if as_json:
         _echo_json({"kind": kind, **args, "value": value})
     else:

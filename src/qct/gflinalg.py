@@ -29,6 +29,8 @@ def rref(mat, field: Field):
     pivots = []
     r = 0
     for c in range(cols):
+        if r == rows:
+            break
         piv = r + int(a[r:, c].argmax())   # any nonzero entry will do
         if a[piv, c] == 0:
             continue
@@ -43,8 +45,6 @@ def rref(mat, field: Field):
                                    field)
         pivots.append(c)
         r += 1
-        if r == rows:
-            break
     return a[:r], pivots
 
 
@@ -70,16 +70,15 @@ def in_rowspace(r, pivots, v, field: Field) -> bool:
     return not reduce_vector(r, pivots, v, field).any()
 
 
-def nullspace(mat, field: Field):
-    """Basis of the right null space, one vector per row (may be empty)."""
-    a = np.asarray(mat, dtype=np.int64)
-    _, cols = a.shape
-    r, pivots = rref(a, field)
-    free = np.setdiff1d(np.arange(cols), pivots, assume_unique=True)
-    out = np.zeros((len(free), cols), dtype=np.int64)
+def complement(r, pivots, field: Field):
+    """The right null space of r, given r[:, pivots] = I (an rref and its
+    pivots), in systematic form: one row per other column c, ascending,
+    with 1 at c and -r[:, c] at the pivots.  Returns (rows, those columns)."""
+    free = np.setdiff1d(np.arange(r.shape[1]), pivots, assume_unique=True)
+    out = np.zeros((len(free), r.shape[1]), dtype=np.int64)
     out[np.arange(len(free)), free] = 1
     out[:, pivots] = field.vneg(r[:, free]).T
-    return out
+    return out, free
 
 
 def matmul(a, b, field: Field):

@@ -30,18 +30,21 @@ best weight below the bound refutes it and raises CodeError.
 
 Above the cap (q^k > cap) nothing is enumerated.  A Lee-Brickell
 information-set search (p <= 2, a fixed seed and a fixed number of
-information sets) looks for a light codeword in the same digit planes.
-Each information set is found by eliminating the smaller of G and H: the
-complement of the first information set of G, in column order, is the
-first one of H taken from the right (matroid duality), so a high-rate code
-takes n - k pivot steps per set instead of k.  The result is exact only
-when that witness, checked to be in the code and outside C1, meets a
-certified lower bound: the design (BCH) distance, or d >= 2 when no
-weight-1 word lies in C2 \\ C1.  The exact methods are
+information sets) looks for a light codeword in the same digit planes.  Each
+information set is found by eliminating the smaller of G and H (matroid
+duality), so a high-rate code takes n - k pivot steps per set instead of
+k.  The result is exact only when that witness, checked to be in the code
+and outside C1, meets a certified lower bound: the design (BCH) distance,
+or d >= 2 when no weight-1 word lies in C2 \\ C1.  The exact methods are
 `witness_meets_bch_bound`, `witness_meets_no_weight_one` and, for a
-weight-1 word, `witness_meets_nonzero`.  Otherwise the result is a lower
-bound (method `bch_bound`, `no_weight_one` or `declared`) whose `upper` is
-the witness weight.  A declared distance is never a certificate.
+weight-1 word, `witness_meets_nonzero`.  Otherwise the result is a
+`lower_bound` (method `bch_bound` or `no_weight_one`), or a declared
+distance the witness does not refute (kind and method `declared`), with the
+witness weight as `upper`.  A declared distance is never a certificate.
+
+Duals, information sets, syndrome columns and MDS witnesses are read off a
+code's rref R and its pivots P, where R[:, P] = I, through
+gflinalg.complement: the null space of R in systematic form.
 
 A basis expansion reads a whole-field coordinate table, built once per
 basis by one GF(p) product, with one lookup for all generator rows.
@@ -166,17 +169,10 @@ class LinearCode:
     # -- duals ----------------------------------------------------------------
     def dual(self) -> "LinearCode":
         if self._dual is None:
-            if self.k == self.n:
-                ns = np.zeros((0, self.n), dtype=np.int64)
-            else:
-                ns = gflinalg.nullspace(self.matrix, self.field)
+            ns, _ = gflinalg.complement(self.matrix, self.pivots, self.field)
             d = LinearCode.__new__(LinearCode)
             d.field = self.field
-            if ns.shape[0] == 0:
-                d.matrix = np.zeros((0, self.n), dtype=np.int64)
-                d.pivots = []
-            else:
-                d.matrix, d.pivots = gflinalg.rref(ns, self.field)
+            d.matrix, d.pivots = gflinalg.rref(ns, self.field)
             d.n = self.n
             d.provenance = f"dual({self.provenance})" if self.provenance else "dual"
             d.design_distance = None
@@ -240,9 +236,11 @@ def code_from_json(rec: dict) -> LinearCode:
     derives a `distance` block again, and a stored design distance is only
     declared, since a record cannot prove it.  Design and declared distances
     must lie in 1..n-k+1 (Singleton); the larger becomes the declared
-    distance."""
+    distance.  A generator of rank 0 is refused."""
     f = field_from_json(rec["field"])
     c = LinearCode(f, rec["generator"], provenance=rec.get("provenance", ""))
+    if c.k == 0:
+        raise CodeError("generator matrix must be a non-empty 2-d array")
     if rec.get("k") is not None and c.k != rec["k"]:
         raise CodeError(f"record claims dimension {rec['k']}, matrix has rank {c.k}")
     stored = []
@@ -344,8 +342,8 @@ def _enumerate(code: LinearCode, exclude: LinearCode | None):
     k, n = code.matrix.shape
     g = code.matrix
     if exclude is not None:   # syndrome columns G.H^T of `exclude`
-        g = np.concatenate(
-            [g, gflinalg.matmul(g, exclude.parity_check().T, f)], axis=1)
+        syn = _syndromes(g, code.pivots, exclude.parity_check().T, f)
+        g = np.concatenate([g, syn], axis=1)
     # scaled[j, c] = digit planes of c * row j
     scaled = _digit_planes(f, f.vmul(np.arange(q)[:, None, None], g[None]),
                            n).transpose(1, 0, 2, 3)
@@ -386,6 +384,13 @@ def _enumerate(code: LinearCode, exclude: LinearCode | None):
     return best_w, tuple(int(x) for x in _word(f, best, n, wc))
 
 
+def _syndromes(r, pivots, s, f: Field):
+    """r.s for a matrix r with r[:, pivots] = I: s[P] + r[:, D].s[D], one
+    product over the other columns D."""
+    d = np.setdiff1d(np.arange(r.shape[1]), pivots, assume_unique=True)
+    return f.vadd(s[pivots], gflinalg.matmul(r[:, d], s[d], f))
+
+
 def _systematic(code: LinearCode, perm):
     """rref(code.matrix[:, perm]) and its pivots, from whichever of G and H
     has fewer rows.
@@ -393,20 +398,15 @@ def _systematic(code: LinearCode, perm):
     The pivots are the first information set J in column order.  Its
     complement D is the first basis of the dual matroid taken from the
     right, so a high-rate code finds D by a rref of the column-reversed
-    H[:, perm], in n - k pivot steps instead of k.  Then R[:, J] = I and
-    R[:, D] = -B[:, J]^T, with B that rref in forward column order; the
-    rref is unique, so R is the same array either way."""
-    f = code.field
-    n, k = code.n, code.k
-    if 2 * k <= n or k == n:
-        return gflinalg.rref(code.matrix[:, perm], f)
-    b, rev = gflinalg.rref(code.parity_check()[:, perm][:, ::-1], f)
-    b = b[::-1, ::-1]   # forward columns; row i has its pivot at d[i]
-    d = [n - 1 - c for c in reversed(rev)]
-    j = np.setdiff1d(np.arange(n), d, assume_unique=True)
-    r = np.zeros((k, n), dtype=np.int64)
-    r[np.arange(k), j] = 1
-    r[:, d] = f.vneg(b[:, j]).T
+    H[:, perm], in n - k pivot steps instead of k, and R is the complement
+    of that rref in forward column order; the rref is unique, so R is the
+    same array either way."""
+    n = code.n
+    if 2 * code.k <= n:
+        return gflinalg.rref(code.matrix[:, perm], code.field)
+    b, rev = gflinalg.rref(code.parity_check()[:, perm][:, ::-1], code.field)
+    r, j = gflinalg.complement(b[::-1, ::-1],
+                               [n - 1 - c for c in reversed(rev)], code.field)
     return r, j.tolist()
 
 
@@ -416,15 +416,13 @@ def _witness_search(code: LinearCode, exclude: LinearCode | None,
 
     Each of _SEARCH_SETS information sets comes from one column shuffle
     (stdlib `random`, seed 0) and the systematic generator R of _systematic,
-    one rref of the smaller of G and H: the complement of the first
-    information set of G is the first one of H taken from the right
-    (matroid duality).  With S = H1^T[perm] for the parity check H1 of
-    `exclude`, J the information set and D the other columns, the syndrome
-    columns of R are R.S = S[J] + R[:, D].S[D], one product over n - k
-    terms.  Every word R_i + c.R_j (c in GF(q), j any row) is a candidate;
-    the lightest one outside `exclude` (nonzero when `exclude` is None) is
-    kept.  The search stops once its weight reaches `target`.
-    Returns (weight, word), the word in the code's own coordinates."""
+    one rref of the smaller of G and H.  With S = H1^T[perm] for the parity
+    check H1 of `exclude`, the syndrome columns of R are _syndromes(R, J, S)
+    for the information set J, one product over n - k terms.  Every word
+    R_i + c.R_j (c in GF(q), j any row) is a candidate; the lightest one
+    outside `exclude` (nonzero when `exclude` is None) is kept.  The search
+    stops once its weight reaches `target`.  Returns (weight, word), the
+    word in the code's own coordinates."""
     f = code.field
     n = code.n
     syn = None if exclude is None else exclude.parity_check().T
@@ -438,10 +436,7 @@ def _witness_search(code: LinearCode, exclude: LinearCode | None,
         r, piv = _systematic(code, perm)
         k = len(r)
         if syn is not None:
-            s = syn[perm]
-            d = np.setdiff1d(np.arange(n), piv, assume_unique=True)
-            r = np.concatenate(
-                [r, f.vadd(s[piv], gflinalg.matmul(r[:, d], s[d], f))], axis=1)
+            r = np.concatenate([r, _syndromes(r, piv, syn[perm], f)], axis=1)
         # rows[(c - 1) * k + j] = digit planes of c * R_j
         rows = _digit_planes(
             f, f.vmul(np.arange(1, f.order)[:, None, None], r[None]), n)
@@ -471,10 +466,10 @@ def _bound_without_enumeration(code: LinearCode,
     The certificate is the design (BCH) distance, or d >= 2 when no
     weight-1 word lies in the code outside `exclude`.  The result is exact
     only when the witness, checked to be a codeword outside `exclude` of
-    the stated weight, meets that certificate.  Otherwise it is the larger
-    of the certificate and a declared distance the witness does not refute,
-    with the witness weight as `upper`.  A declared distance never makes a
-    result exact."""
+    the stated weight, meets that certificate.  Otherwise it is the
+    certificate as a lower bound, or a larger declared distance the witness
+    does not refute as kind `declared`, with the witness weight as `upper`.
+    A declared distance never makes a result exact."""
     # a weight-1 codeword is e_j, and then e_j is a row of the rref matrix
     ones = [r for r in code.matrix if np.count_nonzero(r) == 1
             and (exclude is None or not exclude.contains_word(r))]
@@ -493,7 +488,7 @@ def _bound_without_enumeration(code: LinearCode,
                      witness=tuple(int(x) for x in word))
     declared = code.declared_distance
     if declared and lower < declared <= w:
-        lower, method = declared, "declared"
+        return Bound(declared, "declared", "declared", upper=w)
     return Bound(lower, "lower_bound", method, upper=w)
 
 
@@ -544,17 +539,14 @@ def is_mds(code: LinearCode) -> bool:
 
 
 def mds_witness(code: LinearCode) -> tuple:
-    """A weight-(n-k+1) codeword of an MDS code: eliminate k-1 coordinates.
-    Raises CodeError unless the word is a codeword of that weight."""
-    k, n = code.k, code.n
-    m = code.matrix[:, :k - 1] if k > 1 else np.zeros((k, 0), dtype=np.int64)
-    ns = gflinalg.nullspace(m.T, code.field) if k > 1 else np.eye(1, k, dtype=np.int64)
-    combo = ns[0]
-    cw = gflinalg.matmul(combo[None, :], code.matrix, code.field)[0]
+    """A weight-(n-k+1) codeword of an MDS code: the last rref row, which is
+    zero on the other k-1 pivots.  Raises CodeError unless it has that
+    weight."""
+    cw = code.matrix[-1]
     w = int(np.count_nonzero(cw))
-    if w != n - k + 1 or not code.contains_word(cw):
+    if w != code.n - code.k + 1:
         raise CodeError(f"MDS witness of weight {w} is not a codeword of "
-                        f"weight {n - k + 1}")
+                        f"weight {code.n - code.k + 1}")
     return tuple(int(x) for x in cw)
 
 

@@ -239,44 +239,40 @@ def charpin_family(m: int, i: int, cap: int = DEFAULT_CAP) -> list[AqcParams]:
     n = 2 ** m - 1
     delta = 2 ** i + 1
     bi = families.preparata_like_bi(m, i)
-    f2 = build_field(2, 1)
-    bdelta = families.bch_narrow_sense(f2, n, delta)
-    out = []
-
-    # family 1
-    c1 = bdelta.dual()
+    bdelta = families.bch_narrow_sense(build_field(2, 1), n, delta)
     k1f = 2 ** m - 1 - m * (2 + 2 ** (i - 1))
     if k1f <= 0:
         raise PreconditionError(f"family-1 dimension {k1f} not positive")
-    if bi.contains_code(c1):
-        rec = css_standard(c1, bi, cap)
-        rec.provenance["construction"] = "charpin_family_1"
-        rec.provenance["nesting"] = "verified"
-        if rec.k != k1f:
-            raise CodeError(f"family-1 dimension {rec.k} != formula {k1f}")
-    else:
-        prov = {"construction": "charpin_family_1", "nesting": "failed",
-                "notes": ["B(delta)^perp not inside B_i; formula record only"]}
-        rec = AqcParams(n, k1f, *_declared(delta, 5), 2, provenance=prov)
-    out.append(rec)
-
-    # family 2
+    out = [_charpin_record(1, bdelta.dual(), bi, k1f, _declared(delta, 5),
+                           "B(delta)^perp not inside B_i; formula record only",
+                           cap)]
     k2f = m * (2 ** (i - 1) - 2)
     if k2f > 0:
-        if bi.contains_code(bdelta):
-            rec2 = css_standard(bdelta, bi, cap)
-            rec2.provenance["construction"] = "charpin_family_2"
-            rec2.provenance["nesting"] = "verified"
-        else:
-            prov = {"construction": "charpin_family_2", "nesting": "failed",
-                    "notes": ["B(delta) not inside B_i under the canonical "
-                              "root choice; formula record only"]}
-            wt_upper = Bound(bounds("singleton_wt", m=m, delta=delta),
-                             "upper_bound", "singleton_wt")
-            rec2 = AqcParams(n, k2f, wt_upper, *_declared(5), 2,
-                             provenance=prov)
-        out.append(rec2)
+        wt_upper = Bound(bounds("singleton_wt", m=m, delta=delta),
+                         "upper_bound", "singleton_wt")
+        out.append(_charpin_record(
+            2, bdelta, bi, k2f, [wt_upper, *_declared(5)],
+            "B(delta) not inside B_i under the canonical root choice; "
+            "formula record only", cap))
     return out
+
+
+def _charpin_record(family: int, c1: LinearCode, bi: LinearCode, k: int,
+                    formula: list, note: str, cap: int) -> AqcParams:
+    """Family `family` of charpin_family: the css_standard record of
+    C1 < B_i, whose dimension must be the formula's k, or the formula
+    record (dz, dx) = `formula` when C1 is not inside B_i."""
+    construction = f"charpin_family_{family}"
+    if not bi.contains_code(c1):
+        prov = {"construction": construction, "nesting": "failed",
+                "notes": [note]}
+        return AqcParams(bi.n, k, *formula, 2, provenance=prov)
+    rec = css_standard(c1, bi, cap)
+    rec.provenance["construction"] = construction
+    rec.provenance["nesting"] = "verified"
+    if rec.k != k:
+        raise CodeError(f"family-{family} dimension {rec.k} != formula {k}")
+    return rec
 
 
 def _formula_then_css(da: int, db: int, c1: LinearCode, c2: LinearCode,
@@ -419,14 +415,21 @@ def bounds(kind: str, **args) -> int:
     Carlitz-Uchiyama: every nonzero weight of B(2t+1)^perp, n = 2^m - 1, is
     at least 2^(m-1) - (t-1).2^(m/2), in exact integers; a vacuous value
     (below 1) is reported as 1.  t = floor(delta/2), since the binary
-    narrow-sense B(2t) equals B(2t+1)."""
-    if kind == "carlitz_uchiyama":
+    narrow-sense B(2t) equals B(2t+1).  A designed distance outside
+    2..2^m - 1, or a dimension outside 1..n, raises PreconditionError."""
+    if kind in ("carlitz_uchiyama", "singleton_wt"):
         m, delta = args["m"], args["delta"]
+        if not 2 <= delta or delta.bit_length() > m:   # delta < 2^m
+            raise PreconditionError(
+                f"delta={delta} is outside 2..2^m - 1 for m={m}")
+    if kind == "carlitz_uchiyama":
         t = delta // 2
         return max(1, 2 ** (m - 1) - math.isqrt((t - 1) ** 2 * 2 ** m))
     if kind == "singleton_wt":
-        m, delta = args["m"], args["delta"]
         return m * ((delta - 1) // 2) + 1
     if kind == "singleton":
-        return args["n"] - args["k"] + 1
+        n, k = args["n"], args["k"]
+        if not 1 <= k <= n:
+            raise PreconditionError(f"k={k} is outside 1..n for n={n}")
+        return n - k + 1
     raise PreconditionError(f"unknown bound kind {kind!r}")

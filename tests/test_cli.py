@@ -231,10 +231,12 @@ def test_loaded_design_distance_never_certifies(tmp_path, capsys):
                         "--json"]) == 0
         res = json.loads(capsys.readouterr().out)
         assert res["method"] != "witness_meets_bch_bound"
-        assert res["exactness"] == "lower_bound" and res["upper"] == 5
-        # the larger stored value is declared; 6 is refuted by the witness
+        assert res["upper"] == 5
+        # the larger stored value is declared; 6 is refuted by the witness,
+        # and a declared value that stands keeps the kind `declared`
         want = 5 if max(design, declared or 0) == 5 else 2
         assert res["value"] == want
+        assert res["exactness"] == ("declared" if want == 5 else "lower_bound")
 
 
 BAD_FIELD_RECORDS = [
@@ -272,6 +274,22 @@ def test_expand_of_zero_generator_exits_one(tmp_path, capsys, extra):
                     *extra]) == 1
     err = capsys.readouterr().err
     assert err == "error: generator matrix must be a non-empty 2-d array\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["dual"], ["hdual"], ["puncture"], ["extend"], ["distance"],
+    ["expand", "--sub-q", "2"],
+])
+def test_rank_zero_record_exits_one(tmp_path, capsys, args):
+    assert run_cli(["code", "build", "rs", "--q", "4", "--k", "2",
+                    "--json"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    rec["generator"], rec["k"] = [[0, 0, 0]], None
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(rec))
+    assert run_cli(["code", args[0], str(path), *args[1:]]) == 1
+    assert capsys.readouterr() == (
+        "", "error: generator matrix must be a non-empty 2-d array\n")
 
 
 @pytest.mark.parametrize("args,code", [
@@ -400,3 +418,21 @@ def test_quantum_bound_m_must_be_positive(capsys, m):
     assert run_cli(["quantum", "bound", "--kind", "carlitz_uchiyama",
                     "--m", m, "--delta", "3"]) == 2
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("kind,args", [
+    ("singleton", ["--n", "3", "--k", "10"]),
+    ("singleton", ["--n", "3", "--k", "0"]),
+    ("singleton_wt", ["--m", "7", "--delta", "-9"]),
+    ("singleton_wt", ["--m", "3", "--delta", "8"]),
+    ("carlitz_uchiyama", ["--m", "10", "--delta", "-31"]),
+    ("carlitz_uchiyama", ["--m", "10", "--delta", "1"]),
+    ("carlitz_uchiyama", ["--m", "3", "--delta", "8"]),
+])
+@pytest.mark.parametrize("as_json", [[], ["--json"]])
+def test_quantum_bound_out_of_range_exits_two(capsys, kind, args, as_json):
+    assert run_cli(["quantum", "bound", "--kind", kind, *args,
+                    *as_json]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error: ")
+    assert len(err.splitlines()) == 1

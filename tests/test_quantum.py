@@ -185,6 +185,24 @@ def test_charpin_family_m7():
     assert recs[1].label() == "[[127,14,{29,5}]]_2"
 
 
+def test_charpin_family_2_checks_its_dimension(monkeypatch):
+    """Family 2 refuses a CSS record whose dimension is not m(2^(i-1) - 2),
+    as family 1 does with its own formula.  B(delta) is not inside B_i at
+    m = 7, so the nesting check is made to pass, and css_standard reports
+    one more than k2 - k1 for family 2 (its C1 is not a dual)."""
+    real = quantum.css_standard
+
+    def css_standard(c1, c2, cap):
+        if c1.provenance.startswith("dual("):   # family 1, left as it is
+            return real(c1, c2, cap)
+        return AqcParams(c2.n, c2.k - c1.k + 1, *quantum._declared(5, 5), 2)
+
+    monkeypatch.setattr(LinearCode, "contains_code", lambda self, inner: True)
+    monkeypatch.setattr(quantum, "css_standard", css_standard)
+    with pytest.raises(CodeError, match="family-2 dimension 15 != formula 14"):
+        quantum.charpin_family(7, 3)
+
+
 def test_rs_direct_sum_aqc():
     rec = quantum.rs_direct_sum_aqc(16, 9, 2)
     assert rec.label() == "[[31,14,{7,3}]]_16"
@@ -241,8 +259,18 @@ def test_bounds():
     assert quantum.bounds("carlitz_uchiyama", m=10, delta=31) == 64
     assert quantum.bounds("singleton_wt", m=10, delta=31) == 151
     assert quantum.bounds("singleton", n=5, k=5) == 1
+    assert quantum.bounds("carlitz_uchiyama", m=3, delta=7) == 1
+    assert quantum.bounds("singleton_wt", m=3, delta=2) == 1
     with pytest.raises(PreconditionError):
         quantum.bounds("nope")
+    for kind, args in [("singleton", {"n": 3, "k": 10}),
+                       ("singleton", {"n": 3, "k": 0}),
+                       ("singleton_wt", {"m": 7, "delta": -9}),
+                       ("singleton_wt", {"m": 3, "delta": 8}),
+                       ("carlitz_uchiyama", {"m": 10, "delta": -31}),
+                       ("carlitz_uchiyama", {"m": 0, "delta": 2})]:
+        with pytest.raises(PreconditionError, match="is outside"):
+            quantum.bounds(kind, **args)
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])

@@ -1,8 +1,9 @@
 """The witness search, which finds each information set by eliminating the
 smaller of G and H, against the per-set search it replaced: a full rref of
 the generator with the syndrome columns G.H1^T appended, kept here as an
-oracle.  Also the vectorized null space against its double loop, and the
-GF(2) product against the log/antilog route."""
+oracle.  Also gflinalg.complement against the null-space double loop, the
+dual and the MDS witness read off the rref against the null-space routes
+they replaced, and the GF(2) product against the log/antilog route."""
 
 import random
 
@@ -68,6 +69,25 @@ def oracle_nullspace(mat, field):
         for j, pc in enumerate(pivots):
             out[i, pc] = field.neg(int(r[j, fc]))
     return out
+
+
+def oracle_dual(code):
+    """The dual as first written: the null space of G, from one more rref of
+    G, then its rref; no rows when k = n."""
+    ns = oracle_nullspace(code.matrix, code.field)
+    if not len(ns):
+        return ns, []
+    return gflinalg.rref(ns, code.field)
+
+
+def oracle_mds_witness(code):
+    """The MDS witness as first written: the combination of generator rows
+    that vanishes on the first k - 1 coordinates, from a null space."""
+    k, f = code.k, code.field
+    combo = (oracle_nullspace(code.matrix[:, :k - 1].T, f)[0] if k > 1
+             else np.eye(1, k, dtype=np.int64)[0])
+    cw = gflinalg.matmul(combo[None], code.matrix, f)[0]
+    return tuple(int(x) for x in cw)
 
 
 def random_code(f, n, k, rng):
@@ -167,10 +187,66 @@ def test_nullspace_matches_loop_oracle(p, e):
                 # a product of random factors, so rank deficits occur
                 a = gflinalg.matmul(rng.integers(0, f.order, (rows, rank)),
                                     rng.integers(0, f.order, (rank, cols)), f)
-                got = gflinalg.nullspace(a, f)
+                r, pivots = gflinalg.rref(a, f)
+                got, free = gflinalg.complement(r, pivots, f)
                 want = oracle_nullspace(a, f)
                 assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert free.tolist() == [c for c in range(cols)
+                                         if c not in pivots]
                 assert not gflinalg.matmul(a, got.T, f).any()
+
+
+def test_rref_of_no_rows_has_no_pivots():
+    f = build_field(3, 1)
+    r, pivots = gflinalg.rref(np.zeros((0, 5), dtype=np.int64), f)
+    assert r.shape == (0, 5) and r.dtype == np.int64 and pivots == []
+
+
+DUAL_CASES = [(p, e, n, k) for p, e in FIELDS for n in (8, 10)
+              for k in (0, 1, n // 2, n)]
+
+
+@pytest.mark.parametrize("case", DUAL_CASES, ids=case_id)
+def test_dual_matches_nullspace_oracle(case):
+    """Rank 0, k = 1, 2k = n and k = n: the dual read off the complement
+    of the rref is the rref of the null space, pivots included."""
+    p, e, n, k = case
+    f = build_field(p, e)
+    rng = np.random.default_rng(3000 * n + 10 * k + p ** e)
+    for _ in range(3):
+        code = (random_code(f, n, k, rng) if k
+                else LinearCode(f, np.zeros((1, n), dtype=np.int64)))
+        want, want_piv = oracle_dual(code)
+        d = code.dual()
+        assert d.matrix.dtype == want.dtype and np.array_equal(d.matrix, want)
+        assert d.pivots == want_piv and d.k == n - k
+        assert d.dual() is code
+        assert not gflinalg.matmul(code.matrix, d.matrix.T, f).any()
+    if k == 0:
+        assert np.array_equal(code.dual().matrix, np.eye(n, dtype=np.int64))
+
+
+RS_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
+             37, 41, 43, 47, 49, 53, 59, 61, 64]
+NEGACYCLIC = [(q, n, s) for q, n in [(5, 4), (9, 4), (9, 8), (13, 4), (13, 6)]
+              for s in range(2, n + 1, 2)]
+
+
+@pytest.mark.parametrize("q", RS_ORDERS)
+def test_mds_witness_matches_nullspace_oracle_on_rs(q):
+    for k in range(1, q):
+        code = families.rs_code(q, k)
+        want = oracle_mds_witness(code)
+        assert lincode.mds_witness(code) == want
+        assert code.distance_info.witness == want
+
+
+def test_mds_witness_matches_nullspace_oracle_on_negacyclic():
+    for q, n, s in NEGACYCLIC:
+        code = families.negacyclic_cs(q, n, s)
+        want = oracle_mds_witness(code)
+        assert lincode.mds_witness(code) == want
+        assert code.distance_info.witness == want
 
 
 def oracle_vmul(f, a, b):
