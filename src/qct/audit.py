@@ -1,14 +1,19 @@
 """Re-derivation audits of the published parameter tables and inline examples.
 
-Each audit rebuilds rows from the corresponding construction and classifies
-them as confirmed (fully rebuilt with exact distances), formula-consistent
-(parameters match the construction formula but distances are beyond the
-enumeration cap), inconsistent (no parameter assignment reproduces the row;
-a counterexample-search summary is attached), or unverifiable-at-scale.
+Each audit rebuilds a row's candidates from its construction, and one rule,
+`_classify`, gives the status.  Each entry of a candidate (n, k, d_z, d_x)
+is a range: an int or exact `Bound` a point, a lower bound [value, upper or
+infinity], an upper bound [0, value], a declared or formula value (`None`)
+an open range, as it certifies nothing.  A row is confirmed when some
+candidate pins all four entries to the claim, inconsistent when none holds
+the claim (a counterexample-search summary is attached), formula-consistent
+otherwise; unverifiable-at-scale is set for a splitting field beyond the cap.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
@@ -16,7 +21,10 @@ from functools import lru_cache
 from . import families, polyalg, quantum
 from .errors import FieldError, QctError
 from .galois import build_field
-from .lincode import DEFAULT_CAP, min_distance
+from .lincode import DEFAULT_CAP, Bound
+
+STATUSES = ("confirmed", "formula-consistent", "inconsistent",
+            "unverifiable-at-scale")
 
 # published rows: Table 1 as (k', dz), the rest as (n, k, dz, dx)
 TABLE1_ROWS = [(2, 11), (3, 10), (5, 7), (7, 6), (8, 5), (10, 3)]
@@ -55,8 +63,12 @@ BCH_EXAMPLE_ROWS = [(9, 17, 511, 304, 31, 17), (8, 5, 255, 183, 15, 5)]
 @dataclass
 class AuditRow:
     claim: str
-    status: str   # confirmed | formula-consistent | inconsistent | unverifiable-at-scale
+    status: str   # one of STATUSES
     detail: dict = dc_field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.status not in STATUSES:
+            raise QctError(f"unknown audit status {self.status!r}")
 
     def to_json(self) -> dict:
         return {"claim": self.claim, "status": self.status,
@@ -69,10 +81,7 @@ class VerificationReport:
     rows: list
 
     def counts(self) -> dict:
-        out = {}
-        for row in self.rows:
-            out[row.status] = out.get(row.status, 0) + 1
-        return out
+        return dict(Counter(row.status for row in self.rows))
 
     def to_json(self) -> dict:
         return {"target": self.target, "rows": [r.to_json() for r in self.rows],
@@ -85,15 +94,39 @@ class VerificationReport:
             yield f"  [{row.status}] {row.claim}"
 
 
-def _params(rec) -> tuple:
-    return (rec.n, rec.k, rec.dz.value, rec.dx.value)
+def _span(entry) -> tuple:
+    """(low, high, exact): the range one candidate entry gives."""
+    if isinstance(entry, int):
+        return entry, entry, True
+    if entry is None or entry.kind == "declared":
+        return 0, math.inf, False
+    if entry.exact:
+        return entry.value, entry.value, True
+    if entry.kind == "upper_bound":
+        return 0, entry.value, False
+    high = math.inf if entry.upper is None else entry.upper
+    return entry.value, high, False
 
 
-def _settled(rec) -> str:
-    """A rebuilt record that matches its row is confirmed only when both
-    distances are exact."""
-    return ("confirmed" if rec.dz.exact and rec.dx.exact
-            else "formula-consistent")
+def _classify(claim: tuple, candidates) -> str:
+    """The module docstring's rule for a claim (n, k, d_z, d_x); candidates
+    are AqcParams or 4-tuples, read lazily up to the first that confirms."""
+    status = "inconsistent"
+    for cand in candidates:
+        if isinstance(cand, quantum.AqcParams):
+            cand = (cand.n, cand.k, cand.dz, cand.dx)
+        spans = [_span(e) for e in cand]
+        if all(lo <= c <= hi for c, (lo, hi, _) in zip(claim, spans)):
+            if all(exact for _, _, exact in spans):
+                return "confirmed"
+            status = "formula-consistent"
+    return status
+
+
+def _row(q: int, claim: tuple, candidates, detail: dict) -> AuditRow:
+    n, k, dz, dx = claim
+    return AuditRow(f"[[{n},{k},{{{dz},{dx}}}]]_{q}",
+                    _classify(claim, candidates), detail)
 
 
 def _map_rows(fn, rows, threads: int = 1):
@@ -107,27 +140,15 @@ def _map_rows(fn, rows, threads: int = 1):
 
 def audit_table1(cap: int = DEFAULT_CAP, threads: int = 1) -> VerificationReport:
     f4 = build_field(2, 2)
-    derived = {}
-    for delta in range(2, 15):
-        code = families.bch_narrow_sense(f4, 15, delta)
-        if code.k < 2 or 4 ** code.k > cap:
-            continue
-        rec = quantum.allone_aqc(code, cap)
-        if rec.dz.exact:
-            derived[rec.k] = rec
+    codes = [families.bch_narrow_sense(f4, 15, d) for d in range(2, 15)]
+    derived = {c.k - 1: quantum.allone_aqc(c, cap) for c in codes
+               if c.k >= 2 and 4 ** c.k <= cap}
     rows = []
     for kprime, dz in TABLE1_ROWS:
-        claim = f"[[15,{kprime},{{{dz},2}}]]_4"
         rec = derived.get(kprime)
-        if rec is None:
-            rows.append(AuditRow(claim, "inconsistent",
-                                 {"reason": f"no BCH code yields k'={kprime}"}))
-        elif (rec.dz.value, rec.dx.value) == (dz, 2):
-            rows.append(AuditRow(claim, "confirmed",
-                                 {"rebuilt": rec.to_json()}))
-        else:
-            rows.append(AuditRow(claim, "inconsistent",
-                                 {"rebuilt": rec.to_json()}))
+        rows.append(_row(4, (15, kprime, dz, 2), [rec] if rec else [],
+                         {"rebuilt": rec.to_json()} if rec else
+                         {"reason": f"no BCH code yields k'={kprime}"}))
     return VerificationReport("table1", rows)
 
 
@@ -141,7 +162,7 @@ def _bch_interval_closures(n: int) -> tuple:
     closure of [b, b + width) is the union of its members' GF(4) cosets,
     each computed once as a bit mask; an interval that wraps contains 0, so
     b runs over 1..n - width.  Cached: every Table 2 row of length n and its
-    off-by-one reading filter the same list."""
+    off-by-one reading search the same list."""
     coset = [sum(1 << s for s in polyalg.cyclotomic_coset(n, 4, x))
              for x in range(n)]
     span = [0] * n   # span[b]: closure mask of the current interval at b
@@ -159,79 +180,72 @@ def _bch_interval_closures(n: int) -> tuple:
     return tuple(out)
 
 
-def _bch_interval_candidates(n: int, k: int):
-    """All BCH defining sets (closures of exponent intervals avoiding 0)
-    over GF(4) of length n whose code dimension is k."""
-    return [t for t in _bch_interval_closures(n) if len(t.exponents) == n - k]
+_OFF_BY_ONE = {"formula-consistent": " (weight beyond cap)",
+               "confirmed": " and the exact weight",
+               "unverifiable-at-scale": " (splitting field beyond cap)"}
+
+
+def _table2_search(n: int, k: int, dz: int, cap: int):
+    """Status and detail of [[n-1, k-1, {dz, 2}]]_4, the all-one record of a
+    punctured [n, k]_4 BCH code.  Before a candidate is built, its d_z lies
+    in [bch bound - 1, n - k]: its source's BCH bound less the punctured
+    coordinate, and Singleton.  Candidates whose range holds the claim are
+    built in first-appearance order when 4^k <= cap, up to one that
+    confirms."""
+    claim = (n - 1, k - 1, dz, 2)
+    cands = [(t, (n - 1, k - 1, Bound(polyalg.bch_bound(t) - 1, "lower_bound",
+                                      "bch_bound", upper=n - k), 2))
+             for t in _bch_interval_closures(n) if len(t.exponents) == n - k]
+    fits = [(t, c) for t, c in cands
+            if _classify(claim, [c]) != "inconsistent"]
+    tried = []
+
+    def rebuilt():
+        for t, _ in fits:
+            code = families.cyclic_code_from_defining_set(t, build_field(2, 2))
+            tried.append((t, quantum.allone_aqc(code.puncture(), cap)))
+            yield tried[-1][1]
+
+    try:
+        status = _classify(claim, rebuilt() if 4 ** k <= cap
+                           else [c for _, c in fits])
+    except FieldError:
+        status = "unverifiable-at-scale"
+    detail = {"search": [{
+        "source": [n, k], "candidates": len(cands), "fits": len(fits),
+        "dz_ranges": sorted({(c[2].value, n - k) for _, c in cands}),
+        "tried": [{"exponents": t.sorted_exponents, "dz": rec.dz.value}
+                  for t, rec in tried]}]}
+    if status == "confirmed":
+        detail.update(defining_set=tried[-1][0].to_json(),
+                      rebuilt=tried[-1][1].to_json())
+    elif status == "formula-consistent":
+        detail["note"] = f"4^{k} codewords beyond cap"
+    else:
+        detail["reason"] = (
+            "splitting field beyond the size cap"
+            if status == "unverifiable-at-scale" else
+            f"no BCH defining set gives [{n},{k}]_4" if not cands else
+            f"d_z={dz} outside [bch bound - 1, {n - k}] for every [{n},{k}] "
+            "BCH code" if not fits else
+            f"no punctured [{n},{k}] BCH code has exact weight {dz}")
+    return status, detail
 
 
 def _audit_table2_row(row, cap: int) -> AuditRow:
     big_n, big_k, dz = row
-    claim = f"[[{big_n},{big_k},{{{dz},2}}]]_4"
-    n, k, d = big_n + 1, big_k + 1, dz + 1
-    cands = _bch_interval_candidates(n, k)
-    if not cands:
-        return AuditRow(claim, "inconsistent",
-                        {"reason": f"no BCH defining set gives [{n},{k}]_4",
-                         **_table2_off_by_one(row, cap)})
-    # punctured-code weight dz must sit between the source BCH bound minus
-    # one and the punctured Singleton bound n - k
-    plausible = [t for t in cands
-                 if polyalg.bch_bound(t) - 1 <= dz <= n - k]
-    if not plausible:
-        spread = sorted({polyalg.bch_bound(t) for t in cands})
-        return AuditRow(claim, "inconsistent",
-                        {"reason": f"d_z={dz} outside [bch bound - 1, {n - k}] "
-                                   f"for every [{n},{k}] BCH code",
-                         "bch_bounds_seen": spread,
-                         **_table2_off_by_one(row, cap)})
-    if 4 ** k > cap:
-        return AuditRow(claim, "formula-consistent",
-                        {"candidates": len(plausible),
-                         "note": f"4^{k} codewords beyond cap"})
-    tried = []
-    try:
-        for t in plausible:
-            code = families.cyclic_code_from_defining_set(t, build_field(2, 2))
-            rec = quantum.allone_aqc(code.puncture(), cap)
-            tried.append(rec.dz.value)
-            if _params(rec) == (big_n, big_k, dz, 2) and rec.dz.exact:
-                return AuditRow(claim, "confirmed",
-                                {"defining_set": t.to_json(),
-                                 "rebuilt": rec.to_json()})
-    except FieldError:
-        return AuditRow(claim, "unverifiable-at-scale",
-                        {"reason": "splitting field beyond the size cap",
-                         "candidates": len(plausible)})
-    return AuditRow(claim, "inconsistent",
-                    {"reason": f"no punctured [{n},{k}] BCH code has exact "
-                               f"weight {dz}",
-                     "exact_distances_seen": sorted(set(tried)),
-                     **_table2_off_by_one(row, cap)})
-
-
-def _table2_off_by_one(row, cap: int) -> dict:
-    """Counterexample-search summary: does reading the tabulated dimension as
-    the source BCH dimension (one above the lemma's k-1) rescue the row?"""
-    big_n, big_k, dz = row
-    n, k = big_n + 1, big_k
-    cands = [t for t in _bch_interval_candidates(n, k)
-             if polyalg.bch_bound(t) - 1 <= dz <= n - k]
-    if not cands:
-        return {}
-    note = (f"reading the dimension as the source [{n},{k}] BCH dimension "
-            f"(quantum dimension {k - 1}) fits the formula")
-    if 4 ** k > cap:
-        return {"off_by_one_reading": note + " (weight beyond cap)"}
-    try:
-        for t in cands:
-            code = families.cyclic_code_from_defining_set(t, build_field(2, 2))
-            res = min_distance(code.puncture(), cap)
-            if res.exact and res.value == dz:
-                return {"off_by_one_reading": note + " and the exact weight"}
-    except FieldError:
-        return {"off_by_one_reading": note + " (splitting field beyond cap)"}
-    return {}
+    status, detail = _table2_search(big_n + 1, big_k + 1, dz, cap)
+    if status == "inconsistent":
+        # counterexample search: does reading the tabulated dimension as
+        # the source BCH dimension (one above the lemma's k - 1) rescue it?
+        reading, found = _table2_search(big_n + 1, big_k, dz, cap)
+        detail["search"] += found["search"]
+        if reading in _OFF_BY_ONE:
+            detail["off_by_one_reading"] = (
+                f"reading the dimension as the source [{big_n + 1},{big_k}] "
+                f"BCH dimension (quantum dimension {big_k - 1}) fits the "
+                "formula" + _OFF_BY_ONE[reading])
+    return AuditRow(f"[[{big_n},{big_k},{{{dz},2}}]]_4", status, detail)
 
 
 def audit_table2(cap: int = DEFAULT_CAP, threads: int = 1) -> VerificationReport:
@@ -239,23 +253,18 @@ def audit_table2(cap: int = DEFAULT_CAP, threads: int = 1) -> VerificationReport
     return VerificationReport("table2", rows)
 
 
-# -- Table 3: binary BCH pairs at m = 10 --------------------------------------
+# -- Table 3 and the BCH examples: binary BCH pairs ---------------------------
 
-def _audit_table3_row(row) -> AuditRow:
-    n, k, dz, dx = row
-    claim = f"[[{n},{k},{{{dz},{dx}}}]]_2"
-    rec = quantum.lemma_bch1(10, dx, dz)
-    if _params(rec) != (n, k, dz, dx):
-        return AuditRow(claim, "inconsistent", {"rebuilt": rec.to_json()})
-    status = _settled(rec)
-    return AuditRow(claim, status,
-                    {"rebuilt": rec.to_json(),
-                     "note": "distances are BCH-bound lower bounds with "
-                             "Singleton / Carlitz-Uchiyama cross-checks"})
+def _audit_bch_pair(m: int, delta1: int, row, detail: dict) -> AuditRow:
+    rec = quantum.lemma_bch1(m, delta1, row[2])
+    return _row(2, row, [rec], {"rebuilt": rec.to_json(), **detail})
 
 
 def audit_table3(cap: int = DEFAULT_CAP, threads: int = 1) -> VerificationReport:
-    rows = _map_rows(_audit_table3_row, TABLE3_ROWS, threads)
+    note = {"note": "distances are BCH-bound lower bounds with "
+                    "Singleton / Carlitz-Uchiyama cross-checks"}
+    rows = _map_rows(lambda r: _audit_bch_pair(10, r[3], r, note), TABLE3_ROWS,
+                     threads)
     return VerificationReport("table3", rows)
 
 
@@ -266,8 +275,6 @@ def table4_matches(q: int, m: int, k: int, dpair: set):
     unordered distance pair, plus the near-misses sharing either fact."""
     big_q = q ** m
     hits, near = [], []
-    if k % m:
-        return [], near
     for k1 in range(2, big_q):
         for k2 in range(1, k1):
             pair = {2 * (big_q - k1), 2 * (k2 + 1)}
@@ -281,24 +288,22 @@ def table4_matches(q: int, m: int, k: int, dpair: set):
 
 def _audit_table4_row(row) -> AuditRow:
     q, m, n, k, dz, dx = row
-    claim = f"[[{n},{k},{{{dz},{dx}}}]]_{q}"
     if n != (m + 1) * (q ** m - 1):
-        return AuditRow(claim, "inconsistent",
-                        {"reason": f"length {n} != (m+1)(q^m-1)"})
+        return _row(q, row[2:], [], {"reason": f"length {n} != (m+1)(q^m-1)"})
     if k % m:
-        return AuditRow(claim, "inconsistent",
-                        {"reason": f"dimension {k} not divisible by m={m}"})
+        return _row(q, row[2:], [], {
+            "reason": f"dimension {k} not divisible by m={m}"})
     hits, near = table4_matches(q, m, k, {dz, dx})
     if hits:
-        return AuditRow(claim, "formula-consistent", {"k1_k2": hits})
+        return _row(q, row[2:], [(n, k, None, None) for _ in hits],
+                    {"k1_k2": hits})
     detail = {"reason": "exhaustive (k1,k2) search found no match"}
     if near:
-        pairs = sorted(set(near))[:4]
         detail["nearest"] = [
             {"k1_k2": [k1, k2],
              "pair": sorted({2 * (q ** m - k1), 2 * (k2 + 1)}, reverse=True),
-             "k": m * (k1 - k2)} for k1, k2 in pairs]
-    return AuditRow(claim, "inconsistent", detail)
+             "k": m * (k1 - k2)} for k1, k2 in sorted(set(near))[:4]]
+    return _row(q, row[2:], [], detail)
 
 
 def audit_table4(cap: int = DEFAULT_CAP, threads: int = 1) -> VerificationReport:
@@ -311,38 +316,24 @@ def audit_table4(cap: int = DEFAULT_CAP, threads: int = 1) -> VerificationReport
 def _audit_rs_example(row, cap: int) -> AuditRow:
     n, k, dz, dx = row
     q = 16
-    claim = f"[[{n},{k},{{{dz},{dx}}}]]_{q}"
     if n != 2 * q - 1 or k % 2:
-        return AuditRow(claim, "inconsistent",
-                        {"reason": "parameters outside the 2(k1-k2) shape"})
+        return _row(q, row, [], {
+            "reason": "parameters outside the 2(k1-k2) shape"})
     hits = [(k1, k2) for k1 in range(2, q) for k2 in range(1, k1)
             if 2 * (k1 - k2) == k and {q - k1, k2 + 1} == {dz, dx}]
     if not hits:
-        return AuditRow(claim, "inconsistent",
-                        {"reason": "exhaustive (k1,k2) search found no match"})
+        return _row(q, row, [], {
+            "reason": "exhaustive (k1,k2) search found no match"})
     k1, k2 = hits[0]
     rec = quantum.rs_direct_sum_aqc(q, k1, k2, cap)
-    ok = (rec.n, rec.k) == (n, k) and {rec.dz.value, rec.dx.value} == {dz, dx}
-    if not ok:
-        return AuditRow(claim, "inconsistent", {"rebuilt": rec.to_json()})
-    status = _settled(rec)
-    return AuditRow(claim, status, {"k1_k2": [k1, k2],
-                                    "rebuilt": rec.to_json()})
-
-
-def _audit_bch_example(row) -> AuditRow:
-    m, d1, n, k, dz, dx = row
-    claim = f"[[{n},{k},{{{dz},{dx}}}]]_2"
-    rec = quantum.lemma_bch1(m, d1, dz)
-    status = (_settled(rec) if _params(rec) == (n, k, dz, dx)
-              else "inconsistent")
-    return AuditRow(claim, status, {"rebuilt": rec.to_json()})
+    return _row(q, row, [rec], {"k1_k2": [k1, k2], "rebuilt": rec.to_json()})
 
 
 def audit_examples(cap: int = DEFAULT_CAP, threads: int = 1) -> VerificationReport:
     rows = _map_rows(lambda r: _audit_rs_example(r, cap), RS_EXAMPLE_ROWS,
                      threads)
-    rows += _map_rows(_audit_bch_example, BCH_EXAMPLE_ROWS, threads)
+    rows += _map_rows(lambda r: _audit_bch_pair(r[0], r[1], r[2:], {}),
+                      BCH_EXAMPLE_ROWS, threads)
     return VerificationReport("examples", rows)
 
 

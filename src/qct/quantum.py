@@ -20,6 +20,11 @@ from .lincode import (DEFAULT_CAP, Bound, LinearCode, min_distance,
 # codes longer than this are handled at formula/coset level only
 MATRIX_LIMIT = 127
 
+# bounds() refuses a larger m: its values stay below m * 2^m, at most 4,219
+# digits, which Python converts to a string within its default limit of
+# 4,300 digits (sys.int_info.default_max_str_digits), so each one prints
+BOUND_MAX_M = 14_000
+
 
 @dataclass
 class AqcParams:
@@ -415,10 +420,13 @@ def bounds(kind: str, **args) -> int:
     Carlitz-Uchiyama: every nonzero weight of B(2t+1)^perp, n = 2^m - 1, is
     at least 2^(m-1) - (t-1).2^(m/2), in exact integers; a vacuous value
     (below 1) is reported as 1.  t = floor(delta/2), since the binary
-    narrow-sense B(2t) equals B(2t+1).  A designed distance outside
-    2..2^m - 1, or a dimension outside 1..n, raises PreconditionError."""
+    narrow-sense B(2t) equals B(2t+1).  PreconditionError: m > BOUND_MAX_M,
+    delta outside 2..2^m - 1, or k outside 1..n."""
     if kind in ("carlitz_uchiyama", "singleton_wt"):
         m, delta = args["m"], args["delta"]
+        if m > BOUND_MAX_M:
+            raise PreconditionError(
+                f"m={m} is above {BOUND_MAX_M}: its bounds would not print")
         if not 2 <= delta or delta.bit_length() > m:   # delta < 2^m
             raise PreconditionError(
                 f"delta={delta} is outside 2..2^m - 1 for m={m}")

@@ -1,6 +1,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qct import audit, polyalg, quantum
 from qct.errors import QctError
@@ -132,3 +134,179 @@ def test_threaded_matches_serial():
     threaded = audit.audit_table("table4", threads=4)
     assert [r.to_json() for r in serial.rows] == \
         [r.to_json() for r in threaded.rows]
+
+
+# Every audit row's status, frozen; table2 rows add the off-by-one reading's
+# outcome.  A change that moves a row edits this table on purpose.
+FROZEN_ROWS = """
+table1   [[15,2,{11,2}]]_4      confirmed
+table1   [[15,3,{10,2}]]_4      confirmed
+table1   [[15,5,{7,2}]]_4       confirmed
+table1   [[15,7,{6,2}]]_4       confirmed
+table1   [[15,8,{5,2}]]_4       confirmed
+table1   [[15,10,{3,2}]]_4      confirmed
+table2   [[14,6,{6,2}]]_4       confirmed
+table2   [[20,9,{6,2}]]_4       inconsistent exact-weight
+table2   [[32,8,{10,2}]]_4      inconsistent exact-weight
+table2   [[14,9,{4,2}]]_4       inconsistent exact-weight
+table2   [[20,12,{4,2}]]_4      inconsistent exact-weight
+table2   [[32,18,{7,2}]]_4      inconsistent beyond-cap
+table2   [[30,21,{4,2}]]_4      inconsistent beyond-cap
+table2   [[30,16,{6,2}]]_4      inconsistent beyond-cap
+table2   [[30,11,{10,2}]]_4     inconsistent exact-weight
+table2   [[34,8,{6,2}]]_4       inconsistent exact-weight
+table2   [[34,17,{4,2}]]_4      formula-consistent
+table2   [[34,23,{2,2}]]_4      inconsistent beyond-cap
+table2   [[38,27,{2,2}]]_4      inconsistent beyond-cap
+table2   [[38,21,{8,2}]]_4      inconsistent beyond-cap
+table2   [[38,15,{9,2}]]_4      inconsistent beyond-cap
+table2   [[38,9,{12,2}]]_4      inconsistent exact-weight
+table2   [[40,11,{19,2}]]_4     inconsistent splitting-field
+table2   [[40,21,{8,2}]]_4      inconsistent beyond-cap
+table2   [[44,31,{4,2}]]_4      formula-consistent
+table2   [[44,26,{6,2}]]_4      formula-consistent
+table2   [[44,20,{8,2}]]_4      formula-consistent
+table2   [[44,15,{10,2}]]_4     formula-consistent
+table2   [[44,9,{12,2}]]_4      inconsistent
+table2   [[50,27,{8,2}]]_4      inconsistent beyond-cap
+table2   [[50,23,{13,2}]]_4     inconsistent beyond-cap
+table2   [[50,19,{16,2}]]_4     inconsistent beyond-cap
+table2   [[62,39,{10,2}]]_4     inconsistent beyond-cap
+table2   [[62,27,{20,2}]]_4     inconsistent beyond-cap
+table2   [[62,11,{30,2}]]_4     inconsistent exact-weight
+table2   [[62,8,{41,2}]]_4      inconsistent exact-weight
+table2   [[64,9,{38,2}]]_4      inconsistent exact-weight
+table2   [[64,11,{12,2}]]_4     inconsistent exact-weight
+table2   [[64,17,{12,2}]]_4     inconsistent beyond-cap
+table2   [[64,29,{12,2}]]_4     inconsistent beyond-cap
+table2   [[64,35,{10,2}]]_4     inconsistent beyond-cap
+table2   [[64,47,{5,2}]]_4      inconsistent beyond-cap
+table3   [[1023,803,{31,15}]]_2 formula-consistent
+table3   [[1023,823,{31,11}]]_2 formula-consistent
+table3   [[1023,843,{31,7}]]_2  formula-consistent
+table3   [[1023,863,{31,3}]]_2  formula-consistent
+table4   [[45,24,{6,4}]]_4      formula-consistent
+table4   [[45,24,{8,2}]]_4      formula-consistent
+table4   [[45,22,{8,4}]]_4      formula-consistent
+table4   [[45,16,{14,4}]]_4     formula-consistent
+table4   [[45,10,{20,4}]]_4     formula-consistent
+table4   [[45,10,{16,8}]]_4     formula-consistent
+table4   [[186,150,{4,2}]]_2    formula-consistent
+table4   [[186,110,{12,10}]]_2  formula-consistent
+table4   [[186,100,{18,6}]]_2   inconsistent
+table4   [[186,80,{24,10}]]_2   formula-consistent
+table4   [[186,45,{34,16}]]_2   inconsistent
+table4   [[186,40,{44,6}]]_2    formula-consistent
+examples [[31,14,{7,3}]]_16     formula-consistent
+examples [[31,4,{14,2}]]_16     inconsistent
+examples [[31,22,{4,3}]]_16     inconsistent
+examples [[511,304,{31,17}]]_2  formula-consistent
+examples [[255,183,{15,5}]]_2   formula-consistent
+"""
+OFF_BY_ONE = {"beyond-cap": " (weight beyond cap)",
+              "exact-weight": " and the exact weight",
+              "splitting-field": " (splitting field beyond cap)"}
+
+
+def test_frozen_statuses():
+    want = {}
+    for line in FROZEN_ROWS.strip().splitlines():
+        target, claim, status, *reading = line.split()
+        want.setdefault(target, []).append((claim, status, *reading))
+    assert sum(map(len, want.values())) == 63
+    for target, rows in want.items():
+        report = audit.audit_table(target)
+        assert [(r.claim, r.status) for r in report.rows] == \
+            [row[:2] for row in rows]
+        for r, (claim, _, *reading) in zip(report.rows, rows):
+            if not reading:
+                assert "off_by_one_reading" not in r.detail
+                continue
+            n, k = (int(x) for x in claim[2:].split(",")[:2])
+            assert r.detail["off_by_one_reading"] == (
+                f"reading the dimension as the source [{n + 1},{k}] BCH "
+                f"dimension (quantum dimension {k - 1}) fits the formula"
+                + OFF_BY_ONE[reading[0]])
+    readings = [row[2] for row in want["table2"] if len(row) == 3]
+    assert {t: readings.count(t) for t in OFF_BY_ONE} == \
+        {"beyond-cap": 17, "exact-weight": 11, "splitting-field": 1}
+    confirmed = rows_by_claim(audit.audit_table("table2"))["[[14,6,{6,2}]]_4"]
+    assert confirmed.detail["defining_set"] == {
+        "kind": "cyclic", "n": 15, "q": 4,
+        "exponents": [2, 5, 6, 7, 8, 9, 10, 13]}
+
+
+def test_audit_row_rejects_unknown_status():
+    assert audit.AuditRow("[[7,1,{3,3}]]_2", "inconsistent").status
+    with pytest.raises(QctError, match="unknown audit status"):
+        audit.AuditRow("[[7,1,{3,3}]]_2", "verified")
+
+
+# -- the status rule ----------------------------------------------------------
+
+VALUES = st.integers(0, 5)
+ENTRIES = st.one_of(
+    st.none(), VALUES,
+    VALUES.map(lambda v: Bound(v, "exact", "enumeration")),
+    st.builds(lambda v, extra: Bound(v, "lower_bound", "bch_bound",
+                                     upper=None if extra is None
+                                     else v + extra),
+              VALUES, st.none() | st.integers(0, 3)),
+    VALUES.map(lambda v: Bound(v, "upper_bound", "search")),
+    VALUES.map(lambda v: Bound(v, "declared", "formula")))
+CANDIDATES = st.lists(st.tuples(ENTRIES, ENTRIES, ENTRIES, ENTRIES),
+                      max_size=4)
+
+
+def pins(entry, c) -> bool:
+    if isinstance(entry, Bound):
+        return entry.kind == "exact" and entry.value == c
+    return entry == c
+
+
+def admits(entry, c) -> bool:
+    if entry is None or isinstance(entry, int):
+        return entry in (None, c)
+    return {"exact": entry.value == c,
+            "lower_bound": entry.value <= c and (entry.upper is None
+                                                 or c <= entry.upper),
+            "upper_bound": c <= entry.value,
+            "declared": True}[entry.kind]
+
+
+def as_lower_bound(entry):
+    """An int or exact entry as a lower bound pinned by its upper bound."""
+    if isinstance(entry, int) or isinstance(entry, Bound) and entry.exact:
+        v = entry if isinstance(entry, int) else entry.value
+        return Bound(v, "lower_bound", "bch_bound", upper=v)
+    return entry
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.tuples(VALUES, VALUES, VALUES, VALUES), CANDIDATES)
+def test_classify_is_the_range_rule(claim, cands):
+    """Confirmed only when some candidate is exact and equal on all four
+    entries, inconsistent only when no candidate's ranges hold the claim,
+    and a lower bound pinned to one value by its upper bound is still not
+    an exact value."""
+    status = audit._classify(claim, cands)
+    pinned = any(all(map(pins, c, claim)) for c in cands)
+    held = any(all(map(admits, c, claim)) for c in cands)
+    assert status == ("confirmed" if pinned else
+                      "formula-consistent" if held else "inconsistent")
+    lowered = [tuple(map(as_lower_bound, c)) for c in cands]
+    assert audit._classify(claim, lowered) == \
+        ("formula-consistent" if pinned or held else "inconsistent")
+
+
+def test_classify_reads_candidates_up_to_the_first_confirming():
+    seen = []
+
+    def cands():
+        for c in [(15, 1, None, 2), (15, 1, 7, 2), (15, 1, 7, 2)]:
+            seen.append(c)
+            yield c
+
+    assert audit._classify((15, 1, 7, 2), cands()) == "confirmed"
+    assert len(seen) == 2
+    assert audit._classify((15, 1, 7, 2), []) == "inconsistent"

@@ -428,6 +428,10 @@ def test_quantum_bound_m_must_be_positive(capsys, m):
     ("carlitz_uchiyama", ["--m", "10", "--delta", "-31"]),
     ("carlitz_uchiyama", ["--m", "10", "--delta", "1"]),
     ("carlitz_uchiyama", ["--m", "3", "--delta", "8"]),
+    # an m whose bounds would not print, refused before 2^m is formed
+    ("carlitz_uchiyama", ["--m", "15000", "--delta", "5"]),
+    ("singleton_wt", ["--m", "15000", "--delta", "5"]),
+    ("carlitz_uchiyama", ["--m", str(10 ** 12), "--delta", "5"]),
 ])
 @pytest.mark.parametrize("as_json", [[], ["--json"]])
 def test_quantum_bound_out_of_range_exits_two(capsys, kind, args, as_json):

@@ -272,6 +272,15 @@ def test_bounds():
         with pytest.raises(PreconditionError, match="is outside"):
             quantum.bounds(kind, **args)
 
+    # the largest m still prints: values stay below m * 2^m
+    top = quantum.BOUND_MAX_M
+    assert len(str(quantum.bounds("carlitz_uchiyama", m=top, delta=5))) == \
+        len(str(2 ** (top - 1)))
+    assert str(quantum.bounds("singleton_wt", m=top, delta=2 ** top - 1))
+    for kind in ("carlitz_uchiyama", "singleton_wt"):
+        with pytest.raises(PreconditionError, match="is above"):
+            quantum.bounds(kind, m=top + 1, delta=5)
+
 
 @pytest.mark.parametrize("m", [4, 5, 6])
 def test_carlitz_uchiyama_bound_holds_on_bch_duals(m):
