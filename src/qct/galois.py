@@ -22,6 +22,7 @@ import numpy as np
 from .errors import FieldError, SearchCapExceeded
 
 SIZE_CAP = 1 << 16
+TABLE_MAX = 256          # fields up to this order multiply and add by lookup
 _BASIS_NODES = 500_000   # search nodes per find_self_dual_basis attempt
 
 
@@ -174,11 +175,16 @@ def _check_record(p, e, modulus, generator):
 class Field:
     """GF(p^e) with fixed modulus and primitive generator.
 
-    Multiplication uses log/antilog tables indexed by the generator g.
-    They come from the map x -> g*x over all q elements, formed in one numpy
-    pass from the images of the e basis monomials, since multiplying by g is
-    GF(p)-linear; the chain 1, g, g^2, ... is then q - 1 lookups in that map.
-    Addition works digit-wise in base p (XOR when p = 2).
+    The log/antilog tables of the generator g come from the map x -> g*x
+    over all q elements, formed in one numpy pass from the images of the e
+    basis monomials, since multiplying by g is GF(p)-linear; the chain
+    1, g, g^2, ... is then q - 1 lookups in that map.  Addition is XOR when
+    p = 2.  For q <= TABLE_MAX the field also holds a q x q product table
+    and, for odd p, a q x q sum table and a negation table, built once from
+    the log/antilog product and the base-p digits: `vmul`, `vadd` and `vneg`
+    are then one lookup each.  Above TABLE_MAX (GF(2^10), GF(2^16)), where
+    a q^2 table does not fit, `vmul` adds logs and `vadd`/`vneg` work
+    digit-wise in base p.
 
     The parameters are validated before any table is built: integers with
     e >= 1 and p^e <= SIZE_CAP (checked before p is tested for primality),
@@ -228,6 +234,12 @@ class Field:
             raise FieldError(f"generator {self.generator} is not primitive")
         self.exp = exp
         self.log = log
+        self._mul_table = self._add_table = self._neg_table = None
+        if q <= TABLE_MAX:   # each table from the arithmetic it replaces
+            self._mul_table = self.vmul(x[:, None], x)
+            if p != 2:
+                self._add_table = self.vadd(x[:, None], x)
+                self._neg_table = self.vneg(x)
 
     # -- scalar arithmetic ----------------------------------------------------
     def add(self, a: int, b: int) -> int:
@@ -267,6 +279,8 @@ class Field:
         b = np.asarray(b, dtype=np.int64)
         if self.p == 2:
             return np.bitwise_xor(a, b)
+        if self._add_table is not None:
+            return self._add_table[a, b]
         out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
         pk = 1
         for _ in range(self.e):
@@ -278,6 +292,8 @@ class Field:
         a = np.asarray(a, dtype=np.int64)
         if self.p == 2:
             return a.copy()
+        if self._neg_table is not None:
+            return self._neg_table[a]
         out = np.zeros(a.shape, dtype=np.int64)
         pk = 1
         for _ in range(self.e):
@@ -290,6 +306,8 @@ class Field:
         b = np.asarray(b, dtype=np.int64)
         if self.order == 2:
             return a & b
+        if self._mul_table is not None:
+            return self._mul_table[a, b]
         nz = (a != 0) & (b != 0)
         la = self.log[np.where(a != 0, a, 1)]
         lb = self.log[np.where(b != 0, b, 1)]

@@ -272,7 +272,8 @@ def _digit_planes(f: Field, vals: np.ndarray, n: int) -> np.ndarray:
 
     For p = 2 each plane is packed little-endian into uint64 words, with
     positions [0, n) and [n, N) starting separate words; for odd p each
-    digit is one small unsigned integer.
+    digit is the smallest unsigned integer that holds 2(p - 1), the sum of
+    two digits (see _plane_adder).
     """
     if f.p != 2:
         digits = (vals[..., None, :] // f.p ** np.arange(f.e)[:, None]) % f.p
@@ -289,14 +290,18 @@ def _digit_planes(f: Field, vals: np.ndarray, n: int) -> np.ndarray:
 
 def _plane_adder(p: int):
     """Addition of digit planes: XOR of packed bits for p = 2, digitwise
-    addition mod p otherwise."""
+    addition mod p otherwise.
+
+    For odd p the planes are unsigned (see _digit_planes) and wide enough
+    for s = a + b <= 2(p - 1), so 2^bits > p.  Then s - p wraps to
+    s - p + 2^bits > s when s < p, and min(s, s - p) is s mod p without a
+    branch or a mask."""
     if p == 2:
         return np.bitwise_xor
 
     def add(a, b):
         s = a + b
-        np.subtract(s, p, out=s, where=s >= p)
-        return s
+        return np.minimum(s, s - p, out=s)
     return add
 
 

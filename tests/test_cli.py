@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from qct import families
+from qct import families, gflinalg
 from qct.cli import main, run_cli
 from qct.galois import build_field
 from qct.lincode import min_distance
@@ -89,6 +89,44 @@ def test_exit_codes():
     assert run_cli(["code", "build", "rs", "--q", "4", "--k", "9"]) == 1
     assert run_cli(["nosuchcommand"]) == 2
     assert run_cli(["code", "build", "rs", "--q", "4"]) == 2
+
+
+@pytest.mark.parametrize("args,budget,code,message", [
+    pytest.param(["field", "--p", "3", "--e", "2"], None, 0, None,
+                 id="field-0"),
+    pytest.param(["field", "--p", "4"], None, 1, "4 is not prime",
+                 id="field-1"),
+    pytest.param(["field", "--p", "two"], None, 2,
+                 "'two' is not a valid integer", id="field-2"),
+    pytest.param(["code", "build", "rs", "--q", "4", "--k", "2"], None, 0,
+                 None, id="build-0"),
+    pytest.param(["code", "build", "rs", "--q", "4", "--k", "9"], None, 1,
+                 "RS dimension k=9", id="build-1"),
+    pytest.param(["code", "build", "rs", "--q", "4"], None, 2,
+                 "Missing option '--k'", id="build-2"),
+    pytest.param(["code", "build", "bch", "--q", "4", "--n", "15", "--delta",
+                  "3"], 100, 1, "rref of a 11 x 15 matrix",
+                 id="build-rref-budget"),
+    pytest.param(["audit", "table1"], None, 0, None, id="audit-0"),
+    pytest.param(["audit", "table1"], 100, 1, "rref of a 13 x 15 matrix",
+                 id="audit-rref-budget"),
+    pytest.param(["audit", "nosuch"], None, 2, "'nosuch' is not one of",
+                 id="audit-2"),
+])
+def test_field_build_audit_exit_codes(monkeypatch, capsys, args, budget,
+                                      code, message):
+    """One row per documented exit code of `field`, `code build` and
+    `audit`: exit 0 writes nothing to stderr, exit 1 and 2 one line.  The
+    rows with a budget lower gflinalg's rref budget to it."""
+    if budget is not None:
+        monkeypatch.setattr(gflinalg, "_RREF_BUDGET", budget)
+    assert run_cli(args) == code
+    err = capsys.readouterr().err
+    if message is None:
+        assert err == ""
+    else:
+        assert len(err.strip().splitlines()) == 1 and message in err
+        assert err.startswith({1: "error: ", 2: "usage error: "}[code])
 
 
 def test_catalog_flow(runner, tmp_path):

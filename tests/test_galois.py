@@ -55,6 +55,64 @@ def test_vectorized_matches_scalar():
             assert va[i] == f.add(int(a[i]), int(b[i]))
 
 
+def log_product(f, a, b):
+    """Oracle: the log/antilog product, as Field.vmul computes it above
+    TABLE_MAX."""
+    nz = (a != 0) & (b != 0)
+    la = f.log[np.where(a != 0, a, 1)]
+    lb = f.log[np.where(b != 0, b, 1)]
+    return np.where(nz, f.exp[(la + lb) % (f.order - 1)], 0)
+
+
+def digit_sum(f, a, b):
+    """Oracle: the base-p digitwise sum."""
+    out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
+    for t in range(f.e):
+        pk = f.p ** t
+        out += (((a // pk) % f.p + (b // pk) % f.p) % f.p) * pk
+    return out
+
+
+def digit_neg(f, a):
+    """Oracle: the base-p digitwise negation."""
+    out = np.zeros(a.shape, dtype=np.int64)
+    for t in range(f.e):
+        pk = f.p ** t
+        out += ((f.p - (a // pk) % f.p) % f.p) * pk
+    return out
+
+
+TABLE_FIELDS = [build_field(p, e) for p in range(2, galois.TABLE_MAX + 1)
+                if is_prime(p) for e in range(1, 9)
+                if p ** e <= galois.TABLE_MAX]
+OTHER_MODULUS = [field_from_json({"p": 3, "e": 3, "modulus": [2, 2, 0, 1],
+                                  "generator": 6}),
+                 field_from_json({"p": 2, "e": 8,
+                                  "modulus": [1, 0, 1, 1, 1, 0, 0, 0, 1],
+                                  "generator": 2})]
+
+
+@pytest.mark.parametrize("f", TABLE_FIELDS + OTHER_MODULUS,
+                         ids=lambda f: f"{f}-{''.join(map(str, f.modulus))}")
+def test_lookup_tables_match_log_and_digit_oracles(f):
+    """vmul, vadd and vneg on all q^2 pairs of every field with
+    q <= TABLE_MAX, against the arithmetic the tables replace."""
+    assert f.order <= galois.TABLE_MAX
+    x = np.arange(f.order, dtype=np.int64)
+    a, b = x.repeat(f.order), np.tile(x, f.order)
+    for got, want in ((f.vmul(a, b), log_product(f, a, b)),
+                      (f.vmul(x[:, None], x), log_product(f, x[:, None], x)),
+                      (f.vadd(a, b), digit_sum(f, a, b)),
+                      (f.vadd(x[:, None], x), digit_sum(f, x[:, None], x)),
+                      (f.vneg(x), digit_neg(f, x))):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_other_modulus_fields_are_not_the_cached_ones():
+    assert all(f.modulus != build_field(f.p, f.e).modulus
+               for f in OTHER_MODULUS)
+
+
 def test_field_json_roundtrip():
     f = build_field(2, 4)
     assert field_from_json(f.to_json()) is f   # the cached build_field

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qct import families, gflinalg, lincode
-from qct.errors import CodeError, PreconditionError
+from qct.errors import CodeError, PreconditionError, SearchCapExceeded
 from qct.galois import build_field, get_embedding, standard_basis
 from qct.lincode import (Bound, LinearCode, code_from_json, direct_sum, expand_basis,
                          expand_with_parity, is_mds, mds_witness, min_distance,
@@ -317,3 +317,42 @@ def test_witness_search_on_large_code():
         assert res.value == w and res.witness == tuple(int(x) for x in word)
     else:
         assert res.value == certified and res.upper == w >= res.value
+
+
+@pytest.mark.parametrize("p", [3, 5, 127, 131, 251, 257, 65521])
+def test_plane_adder_is_addition_mod_p(p):
+    """The odd-p adder on the planes _digit_planes returns (uint8 up to
+    p = 127, uint16 from p = 131, uint32 at p = 65521), against
+    (a + b) % p on every pair of digits, or on the extreme digits and a
+    sample of the rest when p is large."""
+    f = build_field(p, 1)
+    digits = np.arange(p, dtype=np.int64)
+    if p > 257:
+        sample = np.random.default_rng(p).integers(0, p, 300)
+        digits = np.unique(np.concatenate([digits[:3], digits[-3:], sample]))
+    a, b = digits.repeat(len(digits)), np.tile(digits, len(digits))
+    pa = lincode._digit_planes(f, a, len(a))
+    pb = lincode._digit_planes(f, b, len(b))
+    assert pa.dtype == pb.dtype and pa.dtype.kind == "u"
+    s = lincode._plane_adder(p)(pa, pb)
+    assert s.dtype == pa.dtype
+    assert np.array_equal(s[0].astype(np.int64), (a + b) % p)
+
+
+def test_rref_budget_is_checked_on_shape(monkeypatch):
+    """A matrix over the budget raises before any elimination; at the
+    budget it is eliminated."""
+    mat = np.array([[1, 2, 3, 1], [2, 1, 0, 3], [3, 3, 1, 2]], dtype=np.int64)
+    want = gflinalg.rref(mat, F4)
+    monkeypatch.setattr(gflinalg, "_RREF_BUDGET", 3 * 3 * 4)
+    assert np.array_equal(gflinalg.rref(mat, F4)[0], want[0])
+    monkeypatch.setattr(gflinalg, "_RREF_BUDGET", 3 * 3 * 4 - 1)
+
+    def no_elimination(*args):
+        raise AssertionError("elimination started")
+    monkeypatch.setattr(gflinalg, "_add_outer", no_elimination)
+    monkeypatch.setattr(F4, "vmul", no_elimination)
+    with pytest.raises(SearchCapExceeded, match="3 x 4 matrix"):
+        gflinalg.rref(mat, F4)
+    with pytest.raises(SearchCapExceeded, match="4 x 3 matrix"):
+        gflinalg.rref(mat.T, F4)
