@@ -22,7 +22,10 @@ import numpy as np
 from .errors import FieldError, SearchCapExceeded
 
 SIZE_CAP = 1 << 16
-TABLE_MAX = 256          # fields up to this order multiply and add by lookup
+# fields up to this order multiply and add by lookup: a chosen cut-off that
+# covers every field the paper's constructions use (GF(2)..GF(256)), not the
+# largest table that fits in memory
+TABLE_MAX = 256
 _BASIS_NODES = 500_000   # search nodes per find_self_dual_basis attempt
 
 
@@ -179,12 +182,12 @@ class Field:
     over all q elements, formed in one numpy pass from the images of the e
     basis monomials, since multiplying by g is GF(p)-linear; the chain
     1, g, g^2, ... is then q - 1 lookups in that map.  Addition is XOR when
-    p = 2.  For q <= TABLE_MAX the field also holds a q x q product table
-    and, for odd p, a q x q sum table and a negation table, built once from
-    the log/antilog product and the base-p digits: `vmul`, `vadd` and `vneg`
-    are then one lookup each.  Above TABLE_MAX (GF(2^10), GF(2^16)), where
-    a q^2 table does not fit, `vmul` adds logs and `vadd`/`vneg` work
-    digit-wise in base p.
+    p = 2.  For 2 < q <= TABLE_MAX the field also holds a q x q product
+    table and, for odd p, a q x q sum table and a negation table, built once
+    from the log/antilog product and the base-p digits: `vmul`, `vadd` and
+    `vneg` are then one lookup each (GF(2) multiplies by AND).  For
+    q > TABLE_MAX (e.g. GF(257), GF(512), GF(2^16)) `vmul` adds logs and
+    `vadd`/`vneg` work digit-wise in base p.
 
     The parameters are validated before any table is built: integers with
     e >= 1 and p^e <= SIZE_CAP (checked before p is tested for primality),
@@ -235,7 +238,7 @@ class Field:
         self.exp = exp
         self.log = log
         self._mul_table = self._add_table = self._neg_table = None
-        if q <= TABLE_MAX:   # each table from the arithmetic it replaces
+        if 2 < q <= TABLE_MAX:   # each table from the arithmetic it replaces
             self._mul_table = self.vmul(x[:, None], x)
             if p != 2:
                 self._add_table = self.vadd(x[:, None], x)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CodeError, SearchCapExceeded
-from .galois import TABLE_MAX, Field
+from .galois import Field
 
 # rows * min(rows, cols) * cols an rref may take: n = 2047 binary BCH codes
 # (8.5e9, 25-31 s on a 2-core Xeon VM) pass, n = 4095 (6.8e10) does not
@@ -13,16 +13,10 @@ _RREF_BUDGET = 1 << 34
 
 
 def _add_outer(acc, coef, row, field: Field):
-    """acc + coef[:, None] * row: over GF(2) a masked XOR; for
-    q <= TABLE_MAX one lookup in the field's product table (and, for odd
-    p, its sum table), with no np.unique; above it, one multiple of `row`
-    per distinct coefficient."""
-    if field.order == 2:
-        return acc ^ (coef[:, None] & row)
-    if field.order <= TABLE_MAX:
-        return field.vadd(acc, field.vmul(coef[:, None], row))
-    values, which = np.unique(coef, return_inverse=True)
-    return field.vadd(acc, field.vmul(values[:, None], row)[which])
+    """acc + coef[:, None] * row, through the field's vmul and vadd: one
+    table lookup each for q <= galois.TABLE_MAX, log/antilog and base-p
+    digits above it; no np.unique."""
+    return field.vadd(acc, field.vmul(coef[:, None], row))
 
 
 def rref(mat, field: Field):
