@@ -85,7 +85,7 @@ def _emit_aqc(rec, as_json: bool):
               envvar="QCT_CAP", show_default=True,
               help="enumeration budget (codewords)")
 @click.option("--seed", type=int, default=0, envvar="QCT_SEED",
-              help="seed for randomized basis searches")
+              help="accepted and ignored: every search is deterministic")
 @click.option("--catalog", "catalog_path", default=None, envvar="QCT_CATALOG",
               help="path of the JSON-lines catalog")
 @click.option("--threads", type=click.IntRange(min=1), default=1,
@@ -95,7 +95,7 @@ def _emit_aqc(rec, as_json: bool):
 def main(ctx, cap, seed, catalog_path, threads):
     """Classical code constructions and asymmetric quantum code parameters."""
     ctx.ensure_object(dict)
-    ctx.obj.update(cap=cap, seed=seed, catalog=catalog_path, threads=threads)
+    ctx.obj.update(cap=cap, catalog=catalog_path, threads=threads)
 
 
 # -- field --------------------------------------------------------------------
@@ -109,8 +109,7 @@ def main(ctx, cap, seed, catalog_path, threads):
 @click.option("--self-dual-basis", "sdb", is_flag=True,
               help="search for a self-dual basis over the prime field")
 @click.option("--json", "as_json", is_flag=True)
-@click.pass_context
-def field_cmd(ctx, p, e, dual_basis, sdb, as_json):
+def field_cmd(p, e, dual_basis, sdb, as_json):
     """Describe GF(p^e); optionally compute dual / self-dual bases."""
     field = build_field(p, e)
     out = field.to_json()
@@ -127,8 +126,7 @@ def field_cmd(ctx, p, e, dual_basis, sdb, as_json):
             dual = find_dual_basis(basis)
             out["dual_basis"] = list(dual.elements)
         if sdb:
-            found = find_self_dual_basis(build_field(p, 1), field,
-                                         seed=ctx.obj["seed"])
+            found = find_self_dual_basis(build_field(p, 1), field)
             out["self_dual_basis"] = (list(found.elements)
                                       if found is not None else None)
     if as_json:

@@ -13,7 +13,6 @@ built from whole-field arrays computed once per field pair (see
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
@@ -26,7 +25,7 @@ SIZE_CAP = 1 << 16
 # covers every field the paper's constructions use (GF(2)..GF(256)), not the
 # largest table that fits in memory
 TABLE_MAX = 256
-_BASIS_NODES = 500_000   # search nodes per find_self_dual_basis attempt
+_BASIS_NODES = 500_000   # search nodes per find_self_dual_basis call
 
 
 def is_prime(n: int) -> bool:
@@ -523,12 +522,11 @@ def self_dual_basis_exists(sub: Field, m: int) -> bool:
     return q % 2 == 0 or (q % 2 == 1 and m % 2 == 1)
 
 
-def find_self_dual_basis(sub: Field, ext: Field, seed: int = 0):
+def find_self_dual_basis(sub: Field, ext: Field):
     """Orthonormal (trace Gram = identity) basis, or None when none exists.
 
-    Deterministic lexicographic depth-first search with seeded random
-    restarts as a fallback.  Raises SearchCapExceeded if the budget runs out
-    at a size where existence is guaranteed.
+    Deterministic lexicographic depth-first search.  Raises SearchCapExceeded
+    if the node budget runs out at a size where existence is guaranteed.
     """
     emb = get_embedding(sub, ext)
     m = emb.m
@@ -560,23 +558,7 @@ def find_self_dual_basis(sub: Field, ext: Field, seed: int = 0):
                 return got
         return None
 
-    try:
-        found = dfs([], unit_cands)
-    except SearchCapExceeded:
-        found = None
-        rng = random.Random(seed)
-        for _ in range(8):
-            cands = list(unit_cands)
-            rng.shuffle(cands)
-            nodes = 0
-            try:
-                found = dfs([], cands)
-            except SearchCapExceeded:
-                continue
-            if found is not None:
-                break
-        if found is None:
-            raise
+    found = dfs([], unit_cands)
     if found is None:
         raise SearchCapExceeded(
             "no self-dual basis found although existence is guaranteed")

@@ -121,7 +121,7 @@ class LinearCode:
     def __init__(self, field: Field, rows, provenance: str = "",
                  design_distance: int | None = None,
                  declared_distance: int | None = None):
-        a = np.array(rows, dtype=np.int64)
+        a = np.asarray(rows, dtype=np.int64)   # rref copies, after its budget
         if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
             raise CodeError("generator matrix must be a non-empty 2-d array")
         if a.min() < 0 or a.max() >= field.order:

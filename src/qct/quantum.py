@@ -3,6 +3,10 @@ pipelines built on them, and bound calculators.
 
 All emitted records are normalized so dz >= dx; the raw unordered pair is kept
 in the provenance together with every verification the pipeline performed.
+
+Every matrix-level CSS pair of C1 < C2 comes from _css_pair.  Only
+css_standard, css_hermitian and allone_aqc compute a purity, by the paper's
+rule (pure iff the pair is {d(C2), d(C1perp)}); other records read "unknown".
 """
 
 from __future__ import annotations
@@ -63,38 +67,55 @@ def _normalize(a: Bound, b: Bound, prov):
     return b, a
 
 
-def _purity(dz: Bound, dx: Bound, d1: Bound, d2: Bound):
-    """Pure iff {dz,dx} = {d1,d2}; requires exact knowledge on all four."""
-    if not (dz.exact and dx.exact and d1.exact and d2.exact):
-        return "unknown"
-    return ("pure" if {dz.value, dx.value} == {d1.value, d2.value}
-            else "degenerate")
-
-
 def _declared(*values):
     return [Bound(v, "declared", "formula") for v in values]
 
 
-def css_standard(c1: LinearCode, c2: LinearCode,
-                 cap: int = DEFAULT_CAP) -> AqcParams:
-    """Standard CSS pair C1 < C2 over GF(q):
-    [[n, k2-k1, {max, min} of wt(C2\\C1) and wt(C1perp\\C2perp)]]_q."""
+def _css_pair(c1: LinearCode, c2: LinearCode, cap: int):
+    """(wt(C2\\C1), wt(C1perp\\C2perp)) for C1 < C2 over one field and
+    length, with k2 > k1 >= 1."""
     if c1.field != c2.field or c1.n != c2.n:
         raise PreconditionError("CSS input codes must share field and length")
     if not c2.contains_code(c1):
         raise PreconditionError("C1 is not contained in C2")
     if c1.k < 1 or c2.k <= c1.k:
         raise PreconditionError("CSS needs proper nesting with k2 > k1 >= 1")
-    wa = relative_min_weight(c2, c1, cap)
-    wb = relative_min_weight(c1.dual(), c2.dual(), cap)
+    return (relative_min_weight(c2, c1, cap),
+            relative_min_weight(c1.dual(), c2.dual(), cap))
+
+
+def _css_purity(c1: LinearCode, c2: LinearCode, wa: Bound, wb: Bound,
+                cap: int) -> str:
+    """Pure iff (wa, wb) = (d(C2), d(C1perp)).  As C1 < C2, d(C2) =
+    min(wt(C2\\C1), d(C1)), so that holds iff d(C1) >= wa and
+    d(C2perp) >= wb (a zero C2perp has no words).  Decided only when wa and
+    wb are exact: an exact or lower-bound distance at or above its weight
+    settles a side, an exact one below it makes the pair degenerate."""
+    if not (wa.exact and wb.exact):
+        return "unknown"
+    purity = "pure"
+    for code, w in ((c1, wa), (c2.dual(), wb)):
+        if code.k == 0:
+            continue
+        d = min_distance(code, cap)
+        if d.exact and d.value < w.value:
+            return "degenerate"
+        if d.kind not in ("exact", "lower_bound") or d.value < w.value:
+            purity = "unknown"
+    return purity
+
+
+def css_standard(c1: LinearCode, c2: LinearCode,
+                 cap: int = DEFAULT_CAP) -> AqcParams:
+    """Standard CSS pair C1 < C2 over GF(q):
+    [[n, k2-k1, {max, min} of wt(C2\\C1) and wt(C1perp\\C2perp)]]_q."""
+    wa, wb = _css_pair(c1, c2, cap)
     prov = {"construction": "css_standard",
             "inputs": [repr(c1), repr(c2)],
             "raw_pair": [wa.to_json(), wb.to_json()]}
     dz, dx = _normalize(wa, wb, prov)
-    d1 = min_distance(c1, cap)
-    d2 = min_distance(c2, cap)
     return AqcParams(c1.n, c2.k - c1.k, dz, dx, c1.field.order,
-                     purity=_purity(dz, dx, d1, d2), provenance=prov)
+                     purity=_css_purity(c1, c2, wa, wb, cap), provenance=prov)
 
 
 def css_hermitian(c1: LinearCode, c2: LinearCode,
@@ -135,10 +156,10 @@ def allone_aqc(code: LinearCode, cap: int = DEFAULT_CAP) -> AqcParams:
     prov = {"construction": "allone", "inputs": [repr(code)],
             "code_distance": res.to_json()}
     dz, dx = _normalize(res, Bound(2, "exact", "allone"), prov)
-    # the all-one subcode is a repetition-like [n,1,n] code
-    rep = Bound(code.n, "exact", "allone")
+    # C1 = <1> has d = n, and no word of C^perp has weight 1 since 1 is in C,
+    # so the pair is (d(C), d(C1perp)) whenever d is known
     return AqcParams(code.n, code.k - 1, dz, dx, code.field.order,
-                     purity=_purity(dz, dx, rep, res), provenance=prov)
+                     purity="pure" if res.exact else "unknown", provenance=prov)
 
 
 def th_best_family(variant, arg, cap: int = DEFAULT_CAP):
@@ -222,12 +243,9 @@ def lemma_bch1(m: int, delta1: int, delta2: int,
         b2 = families.bch_narrow_sense(f2, n, delta2)
         if (b1.k, b2.k) != (k1, k2):
             raise CodeError("matrix dimensions disagree with coset counting")
-        if not b1.contains_code(b2.dual()):
-            raise PreconditionError("B(delta2)^perp is not inside B(delta1)")
+        # C1 = B(delta2)^perp < C2 = B(delta1): wt(C2 \ C1) is d_x
+        dx, dz = _css_pair(b2.dual(), b1, cap)
         prov["nesting"] = "verified"
-        # wt(C1perp \ C2perp), wt(C2 \ C1) for C1 = B(delta2)^perp < B(delta1)
-        dz = relative_min_weight(b2, b1.dual(), cap)
-        dx = relative_min_weight(b1, b2.dual(), cap)
     else:
         prov["nesting"] = "unverifiable-at-scale"
     dz, dx = _normalize(dz, dx, prov)
@@ -283,15 +301,13 @@ def _charpin_record(family: int, c1: LinearCode, bi: LinearCode, k: int,
 def _formula_then_css(da: int, db: int, c1: LinearCode, c2: LinearCode,
                       prov: dict, cap: int):
     """The normalized (dz, dx) of a formula record, verified at matrix level:
-    the css_standard distances of C1 < C2 (with their raw pair and notes)
-    when q^k2 is within the cap, else the formula pair as declared."""
+    the CSS pair of C1 < C2 (its raw pair in `prov`) when q^k2 is within the
+    cap, else the formula pair as declared."""
     if c2.field.order ** c2.k > cap:
         return _normalize(*_declared(da, db), prov)
-    rec = css_standard(c1, c2, cap)
-    prov["raw_pair"] = rec.provenance["raw_pair"]
-    if rec.provenance.get("notes"):
-        prov["notes"] = list(rec.provenance["notes"])
-    return rec.dz, rec.dx
+    pair = _css_pair(c1, c2, cap)
+    prov["raw_pair"] = [w.to_json() for w in pair]
+    return _normalize(*pair, prov)
 
 
 def rs_direct_sum_aqc(q: int, k1: int, k2: int,

@@ -1,12 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from qct import families, gflinalg
 from qct.cli import main, run_cli
 from qct.galois import build_field
-from qct.lincode import min_distance
+from qct.lincode import LinearCode, min_distance
 
 
 @pytest.fixture
@@ -127,6 +128,57 @@ def test_field_build_audit_exit_codes(monkeypatch, capsys, args, budget,
     else:
         assert len(err.strip().splitlines()) == 1 and message in err
         assert err.startswith({1: "error: ", 2: "usage error: "}[code])
+
+
+@pytest.fixture
+def code_files(tmp_path, monkeypatch):
+    """Code records in the working directory, named <key>.json."""
+    f2, f4 = build_field(2, 1), build_field(2, 2)
+    ham = families.bch_narrow_sense(f2, 7, 3)
+    codes = {"ham": ham, "simplex": ham.dual(), "ext": ham.extend_parity(),
+             "bch4": families.bch_narrow_sense(f4, 15, 7),
+             "h1": LinearCode(f4, np.array([[1, 1]])),
+             "h2": LinearCode(f4, np.eye(2, dtype=np.int64)),
+             "rs": families.rs_code(4, 2)}
+    for key, code in codes.items():
+        (tmp_path / f"{key}.json").write_text(json.dumps(code.to_json()))
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.parametrize("args,code,line", [
+    ("quantum css --c1 simplex.json --c2 ham.json", 0,
+     "[[7,1,{3,3}]]_2 purity=pure exact=(exact,exact)"),
+    ("quantum css --hermitian --c1 h1.json --c2 h2.json", 0,
+     "[[2,1,{2,1}]]_2 purity=pure exact=(exact,exact)"),
+    ("quantum allone ham.json", 0,
+     "[[7,3,{3,2}]]_2 purity=pure exact=(exact,exact)"),
+    ("quantum best --variant simplex --m 3", 0,
+     "[[7,3,{3,2}]]_2 purity=pure exact=(exact,exact)"),
+    ("quantum best --variant bch --source bch4.json", 0,
+     "[[15,5,{7,2}]]_4 purity=pure exact=(exact,exact)"),
+    ("quantum best --variant self_dual --source ext.json", 0,
+     "[[8,3,{4,2}]]_2 purity=pure exact=(exact,exact)"),
+    ("quantum best --variant simplex", 2,
+     "usage error: --m required for the simplex variant"),
+    ("quantum best --variant bch", 2,
+     "usage error: --source required for this variant"),
+    ("quantum qconcat --q 4 --m 2 --k1 13 --k2 1 --k 7", 0,
+     "[[630,24,{28,28}]]_4 purity=unknown exact=(lower_bound,lower_bound)"),
+    ("code expand rs.json --sub-q 2", 0, "[6,4]_2 expand(rs[3,2]_4)"),
+    ("code expand rs.json --sub-q 2 --parity", 0,
+     "[9,4]_2 expand_parity(rs[3,2]_4)"),
+    ("code build simplex --m 3", 0, "[7,3]_2 simplex(m=3)"),
+    ("code build preparata --m 5 --i 2", 0, "[31,21]_2 preparata_bi(m=5,i=2)"),
+])
+def test_quantum_and_code_commands(code_files, capsys, args, code, line):
+    """One row per command, in text form: its exit code and the first line
+    it prints (stdout on exit 0, the one stderr line otherwise)."""
+    assert run_cli(args.split()) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert err == "" and out.splitlines()[0] == line
+    else:
+        assert out == "" and err.strip() == line
 
 
 def test_catalog_flow(runner, tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qct import galois, gflinalg
-from qct.errors import FieldError
+from qct.errors import FieldError, SearchCapExceeded
 from qct.galois import (SIZE_CAP, ExtensionBasis, Field, build_field,
                         field_from_json, field_from_q, find_dual_basis,
                         find_self_dual_basis, get_embedding, is_prime,
@@ -262,6 +262,14 @@ def test_self_dual_basis_gf27():
     assert self_dual_basis_exists(f3, 3)
     found = find_self_dual_basis(f3, f27)
     assert found is not None and found.is_self_dual()
+
+
+def test_self_dual_basis_budget_raises(monkeypatch):
+    """A node budget the depth-first search cannot finish in raises
+    SearchCapExceeded: a basis of GF(16) over GF(2) takes at least 4 nodes."""
+    monkeypatch.setattr(galois, "_BASIS_NODES", 3)
+    with pytest.raises(SearchCapExceeded, match="budget exhausted"):
+        find_self_dual_basis(build_field(2, 1), build_field(2, 4))
 
 
 def test_conjugation_is_involution_on_gf9():

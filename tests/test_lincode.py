@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -356,3 +357,18 @@ def test_rref_budget_is_checked_on_shape(monkeypatch):
         gflinalg.rref(mat, F4)
     with pytest.raises(SearchCapExceeded, match="4 x 3 matrix"):
         gflinalg.rref(mat.T, F4)
+
+
+def test_code_over_the_rref_budget_makes_no_copy_of_its_rows(monkeypatch):
+    """LinearCode hands an int64 generator to rref as it is, so a refused
+    8 MB matrix costs no second generator-sized array."""
+    rows = np.ones((1000, 1000), dtype=np.int64)
+    monkeypatch.setattr(gflinalg, "_RREF_BUDGET", 100)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchCapExceeded, match="1000 x 1000 matrix"):
+            LinearCode(F2, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows.nbytes // 8

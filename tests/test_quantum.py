@@ -52,6 +52,57 @@ def test_css_standard_symmetric_case():
     assert rec.dz.value == rec.dx.value == 3
 
 
+def test_css_standard_purity():
+    """Pure iff the pair is {d(C2), d(C1perp)}: the Steane code is pure.  In
+    C1 = <10000> < C2 = <10000, 01111>, wt(C2 minus C1) = 4 but d(C2) = 1, so
+    the pair is degenerate.  Repetition < GF(2)^5 gives (1, 2) = (d(C2),
+    d(C1perp)), pure."""
+    steane = quantum.css_standard(hamming().dual(), hamming())
+    assert steane.label() == "[[7,1,{3,3}]]_2"
+    assert steane.purity == "pure"
+    c1 = LinearCode(F2, np.array([[1, 0, 0, 0, 0]], dtype=np.int64))
+    c2 = LinearCode(F2, np.array([[1, 0, 0, 0, 0], [0, 1, 1, 1, 1]],
+                                 dtype=np.int64))
+    rec = quantum.css_standard(c1, c2)
+    assert rec.label() == "[[5,1,{4,1}]]_2"
+    assert rec.purity == "degenerate"
+    # C2 = GF(2)^5 has a zero dual, which holds no word to compare
+    full = LinearCode(F2, np.eye(5, dtype=np.int64))
+    rec = quantum.css_standard(LinearCode(F2, np.ones((1, 5), dtype=np.int64)),
+                               full)
+    assert rec.label() == "[[5,4,{2,1}]]_2"
+    assert rec.purity == "pure"
+
+
+@pytest.mark.parametrize("d1,purity", [
+    (exact(3), "pure"), (exact(4), "pure"), (exact(2), "degenerate"),
+    (Bound(3, "lower_bound", "bch_bound", upper=5), "pure"),
+    (Bound(2, "lower_bound", "bch_bound", upper=5), "unknown"),
+    (Bound(3, "declared", "declared", upper=5), "unknown")])
+def test_css_purity_reads_each_side_as_a_bound(monkeypatch, d1, purity):
+    """d(C1) against wt(C2 minus C1) = 3 for C1 = Hamming^perp < Hamming; the
+    other side, d(C2perp) = 4 against 3, is enumerated and settled."""
+    c1, c2 = hamming().dual(), hamming()
+    real = quantum.min_distance
+    monkeypatch.setattr(quantum, "min_distance",
+                        lambda code, cap: d1 if code is c1 else real(code, cap))
+    assert quantum.css_standard(c1, c2).purity == purity
+
+
+def test_only_css_standard_and_allone_compute_purity(monkeypatch):
+    """The formula-then-verify pipelines and lemma_bch1 report no purity and
+    compute no minimum distance for one; a Charpin record with a non-exact
+    relative weight computes none either."""
+    def no_distance(*args):
+        raise AssertionError("min_distance called")
+    monkeypatch.setattr(quantum, "min_distance", no_distance)
+    for rec in (quantum.rs_direct_sum_aqc(8, 3, 1),
+                quantum.concat_expand_aqc(3, 3, 3, 1),
+                quantum.lemma_bch1(5, 5, 7),
+                quantum.charpin_family(7, 2)[0]):
+        assert rec.purity == "unknown"
+
+
 def test_css_hermitian_boundary():
     c1 = LinearCode(F4, np.array([[1, 1]], dtype=np.int64))
     c2 = LinearCode(F4, np.eye(2, dtype=np.int64))
@@ -70,6 +121,7 @@ def test_css_hermitian_requires_square_field():
 def test_allone_aqc():
     rec = quantum.allone_aqc(hamming())
     assert rec.label() == "[[7,3,{3,2}]]_2"
+    assert rec.purity == "pure"   # d is exact
     bch = families.bch_narrow_sense(F4, 15, 3)
     rec = quantum.allone_aqc(bch)
     assert rec.label() == "[[15,10,{3,2}]]_4"
