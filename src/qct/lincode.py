@@ -5,21 +5,29 @@ Codes are stored in reduced row echelon form, so equality and containment are
 matrix comparisons.  Exact distances and relative weights come from one
 enumeration kernel.  It holds vectors as base-p digit planes: bits packed
 into uint64 words when p = 2, one small unsigned integer per digit for odd p.
-It tabulates every combination of the low generator rows, as many as fit in
-_TABLE_BYTES, and walks the high messages in message-index order, so each
-block is the table plus one offset vector.  The 256 KB table keeps a block
-and its weight temporaries in a 2 MB L2 cache; a sweep from 16 KB to 4 MB
-found 256 KB and 512 KB fastest and 4 MB over twice as slow.  Weight is
-invariant under a nonzero scalar, and c.x lies outside C1 exactly when x
-does, so the walk visits one codeword per scalar class: the high block 0,
-then only the high messages whose top nonzero digit is 1, q - 1 times fewer
-words.  Among the multiples of a message, the one with top digit 1 has the
+The layout is word-major: a block of R words is an (e.W, R) array, so each
+(plane, word) pair is one contiguous row.  The kernel tabulates every
+combination of the low generator rows, as many as fit in _TABLE_BYTES, in
+one contiguous table made once per walk, and walks the high messages in
+message-index order.  Each block is the table plus one offset column,
+written into one buffer allocated per walk (for odd p, one more array holds
+the wrap of the digit sum).  Weights are popcounts of the ORed planes
+(p = 2) or counts of nonzero digits (odd p), summed over rows in the
+smallest unsigned type that holds n + 1.  A sweep of `table1` plus `table2`
+from 16 KB to 4 MB (in process, best of 3, 2-core Xeon VM) found 256 KB
+and 512 KB fastest, 1 MB 1.3-1.6 times and 4 MB 3-4 times slower, so the
+table stays at 256 KB.  Weight is invariant under a nonzero scalar, and
+c.x lies outside C1 exactly when x does, so the walk visits one codeword
+per scalar class: the high block 0, then only the high messages whose top
+nonzero digit is 1, q - 1 times fewer words.  Among the multiples of a message, the one with top digit 1 has the
 smallest index (the field's 1 is the integer 1).  Row 0 is the
 least-significant message digit, so the witness is still the first
 minimum-weight codeword in message-index order.  For the relative weight
 of C2 over C1, the syndrome columns G2.H1^T are appended to the generator,
 and a codeword lies outside C1 exactly when its syndrome digits are
-nonzero.
+nonzero: the syndrome rows are ORed into one vector, and the words where
+it is 0 get weight n + 1.  A walk that would visit more than _WALK_BUDGET
+words raises SearchCapExceeded before its table is built.
 
 The walk stops after the first block that leaves its best weight at the
 code's design distance (1 when there is none), a certified lower bound; a
@@ -69,6 +77,10 @@ _TABLE_BYTES = 1 << 18   # low-row combination table of _enumerate
 _SEARCH_SETS = 16        # information sets tried by _witness_search
 _SEARCH_BYTES = 1 << 18  # candidate block of _witness_search
 _MDS_SUBSETS = 1_000_000  # column subsets is_mds may check
+# words _enumerate may visit: at 1.6-7.5 ns/word in characteristic 2 and
+# 17-92 ns/word for odd p (2-core Xeon VM), 2^33 words take 14 s to 1 min
+# and 2.4 to 13 min
+_WALK_BUDGET = 1 << 33
 _KINDS = ("exact", "lower_bound", "upper_bound", "declared")
 
 
@@ -268,8 +280,10 @@ def direct_sum(a: LinearCode, b: LinearCode) -> LinearCode:
 # -- weight enumeration -------------------------------------------------------
 
 def _digit_planes(f: Field, vals: np.ndarray, n: int) -> np.ndarray:
-    """Elements (..., N) -> base-p digit planes (..., e, W).
+    """Elements (..., N) -> word-major base-p digit planes (e, W, ...).
 
+    Plane and word lead, so for vectors in the trailing axes every (plane,
+    word) pair is one row, and a (e.W, R) reshape of a block is a view.
     For p = 2 each plane is packed little-endian into uint64 words, with
     positions [0, n) and [n, N) starting separate words; for odd p each
     digit is the smallest unsigned integer that holds 2(p - 1), the sum of
@@ -277,7 +291,8 @@ def _digit_planes(f: Field, vals: np.ndarray, n: int) -> np.ndarray:
     """
     if f.p != 2:
         digits = (vals[..., None, :] // f.p ** np.arange(f.e)[:, None]) % f.p
-        return digits.astype(np.min_scalar_type(2 * (f.p - 1)))
+        planes = digits.astype(np.min_scalar_type(2 * (f.p - 1)))
+        return np.moveaxis(planes, (-2, -1), (0, 1))
     digits = (vals[..., None, :] >> np.arange(f.e)[:, None]) & 1
     parts = []
     for part in (digits[..., :n], digits[..., n:]):
@@ -285,48 +300,59 @@ def _digit_planes(f: Field, vals: np.ndarray, n: int) -> np.ndarray:
         part = np.pad(part.astype(np.uint8),
                       [(0, 0)] * (part.ndim - 1) + [(0, pad)])
         parts.append(np.packbits(part, axis=-1, bitorder="little").view("<u8"))
-    return np.concatenate(parts, axis=-1)
+    return np.moveaxis(np.concatenate(parts, axis=-1), (-2, -1), (0, 1))
 
 
 def _plane_adder(p: int):
-    """Addition of digit planes: XOR of packed bits for p = 2, digitwise
-    addition mod p otherwise.
+    """Addition of digit planes, add(a, b, out=None, tmp=None): XOR of
+    packed bits for p = 2, digitwise addition mod p otherwise.
 
     For odd p the planes are unsigned (see _digit_planes) and wide enough
     for s = a + b <= 2(p - 1), so 2^bits > p.  Then s - p wraps to
     s - p + 2^bits > s when s < p, and min(s, s - p) is s mod p without a
-    branch or a mask."""
+    branch or a mask.  `out` takes the sum and `tmp` the difference, so a
+    walk adds into two preallocated arrays."""
     if p == 2:
-        return np.bitwise_xor
-
-    def add(a, b):
-        s = a + b
-        return np.minimum(s, s - p, out=s)
+        def add(a, b, out=None, tmp=None):
+            return np.bitwise_xor(a, b, out=out)
+    else:
+        def add(a, b, out=None, tmp=None):
+            s = np.add(a, b, out=out)
+            return np.minimum(s, np.subtract(s, p, out=tmp), out=s)
     return add
 
 
 def _weights(f: Field, block: np.ndarray, n: int, wc: int,
              relative: bool) -> np.ndarray:
-    """Hamming weights of a block of digit-plane words; with `relative`,
-    words whose syndrome digits are all zero get weight n + 1."""
-    nz = block[:, 0, :wc]
+    """Hamming weights of the words in the columns of a word-major block
+    (e.W, R), as np.min_scalar_type(n + 1); with `relative`, words whose
+    syndrome digits are all zero get weight n + 1.
+
+    The first wc rows of each plane hold the codeword, the rest its
+    syndrome.  The planes are ORed row by row; a weight is a sum of
+    popcounts over the wc words (p = 2) or a count of the nonzero digits
+    (odd p), both over contiguous rows."""
+    planes = block.reshape(f.e, -1, block.shape[-1])
+    nz = planes[0, :wc]
     for pl in range(1, f.e):
-        nz = nz | block[:, pl, :wc]
+        nz = nz | planes[pl, :wc]
+    dtype = np.min_scalar_type(n + 1)
     if f.p == 2:
-        bits = np.bitwise_count(nz)
-        weights = bits[:, 0].astype(np.int64)
-        for w in range(1, wc):   # cheaper than a reduction over words
-            weights += bits[:, w]
+        weights = np.bitwise_count(nz[0]).astype(dtype, copy=False)
+        for w in range(1, wc):
+            weights += np.bitwise_count(nz[w])
     else:
-        weights = np.count_nonzero(nz, axis=1)
+        weights = (nz != 0).sum(axis=0, dtype=dtype)
     if relative:
-        inside = ~block[:, :, wc:].reshape(len(block), -1).any(axis=1)
-        weights[inside] = n + 1
+        syn = reduce(np.bitwise_or, planes[:, wc:])   # OR over the planes
+        syn = syn[0] if len(syn) == 1 else np.bitwise_or.reduce(syn)
+        weights[syn == 0] = n + 1
     return weights
 
 
-def _word(f: Field, planes: np.ndarray, n: int, wc: int) -> np.ndarray:
-    """The length-n field vector held in one word's digit planes."""
+def _word(f: Field, column: np.ndarray, n: int, wc: int) -> np.ndarray:
+    """The length-n field vector held in one column of a word-major block."""
+    planes = column.reshape(f.e, -1)
     if f.p == 2:
         digits = np.unpackbits(planes[:, :wc].copy().view(np.uint8), axis=-1,
                                bitorder="little")[:, :n]
@@ -349,36 +375,45 @@ def _enumerate(code: LinearCode, exclude: LinearCode | None):
     if exclude is not None:   # syndrome columns G.H^T of `exclude`
         syn = _syndromes(g, code.pivots, exclude.parity_check().T, f)
         g = np.concatenate([g, syn], axis=1)
-    # scaled[j, c] = digit planes of c * row j
+    # scaled[:, c, j] = the digit-plane rows of c * row j
     scaled = _digit_planes(f, f.vmul(np.arange(q)[:, None, None], g[None]),
-                           n).transpose(1, 0, 2, 3)
+                           n).reshape(-1, q, k)
     wc = -(-n // 64) if p == 2 else n   # words (or digits) of the codeword
     add = _plane_adder(p)
 
     t = 1
-    while t < k and q ** (t + 1) * scaled[0, 0].nbytes <= _TABLE_BYTES:
+    while t < k and q ** (t + 1) * scaled[:, 0, 0].nbytes <= _TABLE_BYTES:
         t += 1
-    table = scaled[0]
+    words = q ** t * (1 + (q ** (k - t) - 1) // (q - 1))
+    if words > _WALK_BUDGET:
+        raise SearchCapExceeded(
+            f"enumerating {code!r}: the walk visits up to {words} words, "
+            f"over the budget {_WALK_BUDGET}")
+    # table[:, m] = the digit-plane rows of low message m, one per column
+    table = scaled[:, :, 0]
     for j in range(1, t):
-        table = add(table[None], scaled[j][:, None])
-        table = table.reshape(-1, *table.shape[2:])
+        table = add(scaled[:, :, j, None], table[:, None])
+        table = table.reshape(len(table), -1)
+    table = np.ascontiguousarray(table)
+    buf = np.empty_like(table)
+    tmp = None if p == 2 else np.empty_like(table)
 
     best_w, best = n + 1, None
     # one member per scalar class: a nonzero high message whose top digit is 1
     highs = chain([0], *(range(q ** j, 2 * q ** j) for j in range(k - t)))
     for h in highs:
-        off = np.zeros_like(table[0])
+        off = np.zeros(len(table), table.dtype)
         for j in range(t, k):
             d = h // q ** (j - t) % q
             if d:
-                off = add(off, scaled[j, d])
-        block = add(table, off)
-        weights = _weights(f, block, n, wc, exclude is not None)
+                off = add(off, scaled[:, d, j])
+        add(table, off[:, None], out=buf, tmp=tmp)
+        weights = _weights(f, buf, n, wc, exclude is not None)
         if exclude is None and h == 0:
             weights[0] = n + 1   # rows are independent: only message 0 is zero
         i = int(np.argmin(weights))
         if weights[i] < best_w:
-            best_w, best = int(weights[i]), block[i].copy()
+            best_w, best = int(weights[i]), buf[:, i].copy()
         if best_w <= floor:
             break
     if best_w < floor:
@@ -425,9 +460,13 @@ def _witness_search(code: LinearCode, exclude: LinearCode | None,
     check H1 of `exclude`, the syndrome columns of R are _syndromes(R, J, S)
     for the information set J, one product over n - k terms.  Every word
     R_i + c.R_j (c in GF(q), j any row) is a candidate; the lightest one
-    outside `exclude` (nonzero when `exclude` is None) is kept.  The search
-    stops once its weight reaches `target`.  Returns (weight, word), the
-    word in the code's own coordinates."""
+    outside `exclude` (nonzero when `exclude` is None) is kept.  Candidates
+    are built in the kernel's word-major layout, a step of rows R_i against
+    a table of 0 and every c.R_j in one broadcast add, and weighed by the
+    kernel's _weights; flattened, a block lists the candidates in the
+    order (i, then 0, then c.R_j by c and j).  The search stops once its
+    weight reaches `target`.  Returns (weight, word), the word in the
+    code's own coordinates."""
     f = code.field
     n = code.n
     syn = None if exclude is None else exclude.parity_check().T
@@ -442,22 +481,22 @@ def _witness_search(code: LinearCode, exclude: LinearCode | None,
         k = len(r)
         if syn is not None:
             r = np.concatenate([r, _syndromes(r, piv, syn[perm], f)], axis=1)
-        # rows[(c - 1) * k + j] = digit planes of c * R_j
-        rows = _digit_planes(
-            f, f.vmul(np.arange(1, f.order)[:, None, None], r[None]), n)
-        rows = rows.reshape(-1, *rows.shape[2:])
-        table = np.concatenate([np.zeros_like(rows[:1]), rows])
+        # rows[:, (c - 1) * k + j] = the digit-plane rows of c * R_j
+        rows = _digit_planes(f, f.vmul(np.arange(1, f.order)[:, None, None],
+                                       r[None]).reshape(-1, r.shape[1]), n)
+        rows = rows.reshape(-1, rows.shape[-1])
+        table = np.concatenate([np.zeros_like(rows[:, :1]), rows], axis=1)
         step = max(1, _SEARCH_BYTES // table.nbytes)
         for i in range(0, k, step):
-            block = add(rows[i:min(i + step, k), None], table[None])
-            block = block.reshape(-1, *table.shape[1:])
+            block = add(rows[:, i:min(i + step, k), None], table[:, None])
+            block = block.reshape(len(table), -1)
             weights = _weights(f, block, n, wc, exclude is not None)
             if exclude is None:
                 weights[weights == 0] = n + 1
             j = int(np.argmin(weights))
             if weights[j] < best_w:
                 best_w, best = int(weights[j]), np.empty(n, dtype=np.int64)
-                best[perm] = _word(f, block[j], n, wc)
+                best[perm] = _word(f, block[:, j], n, wc)
             if best_w <= target:
                 return best_w, best
     return best_w, best

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qct import families, gflinalg
+from qct import families, gflinalg, lincode
 from qct.cli import main, run_cli
 from qct.galois import build_field
 from qct.lincode import LinearCode, min_distance
@@ -142,6 +142,9 @@ def code_files(tmp_path, monkeypatch):
              "rs": families.rs_code(4, 2)}
     for key, code in codes.items():
         (tmp_path / f"{key}.json").write_text(json.dumps(code.to_json()))
+    rank0 = dict(codes["rs"].to_json(), generator=[[0, 0, 0]], k=None)
+    (tmp_path / "zero.json").write_text(json.dumps(rank0))
+    (tmp_path / "list.json").write_text("[1, 2]")
     monkeypatch.chdir(tmp_path)
 
 
@@ -179,6 +182,57 @@ def test_quantum_and_code_commands(code_files, capsys, args, code, line):
         assert err == "" and out.splitlines()[0] == line
     else:
         assert out == "" and err.strip() == line
+
+
+@pytest.mark.parametrize("args,budget,code,message", [
+    pytest.param("code distance ham.json", None, 0, None, id="distance-0"),
+    pytest.param("code distance missing.json", None, 1,
+                 "cannot load missing.json", id="distance-1-unreadable"),
+    pytest.param("code distance list.json", None, 1,
+                 "not a JSON object", id="distance-1-not-object"),
+    pytest.param("code distance zero.json", None, 1,
+                 "generator matrix must be a non-empty",
+                 id="distance-1-rank-0"),
+    pytest.param("--cap 1152921504606846976 code distance ham.json", 15, 1,
+                 "up to 16 words, over the budget 15", id="distance-1-budget"),
+    pytest.param("code distance", None, 2, "Missing argument 'SOURCE'",
+                 id="distance-2"),
+    pytest.param("code dual ham.json", None, 0, None, id="dual-0"),
+    pytest.param("code dual missing.json", None, 1,
+                 "cannot load missing.json", id="dual-1-unreadable"),
+    pytest.param("code dual list.json", None, 1,
+                 "not a JSON object", id="dual-1-not-object"),
+    pytest.param("code dual zero.json", None, 1,
+                 "generator matrix must be a non-empty", id="dual-1-rank-0"),
+    pytest.param("code dual", None, 2, "Missing argument 'SOURCE'",
+                 id="dual-2"),
+    pytest.param("code expand rs.json --sub-q 2", None, 0, None,
+                 id="expand-0"),
+    pytest.param("code expand missing.json --sub-q 2", None, 1,
+                 "cannot load missing.json", id="expand-1-unreadable"),
+    pytest.param("code expand list.json --sub-q 2", None, 1,
+                 "not a JSON object", id="expand-1-not-object"),
+    pytest.param("code expand zero.json --sub-q 2", None, 1,
+                 "generator matrix must be a non-empty", id="expand-1-rank-0"),
+    pytest.param("code expand rs.json", None, 2, "Missing option '--sub-q'",
+                 id="expand-2"),
+])
+def test_distance_dual_expand_exit_codes(code_files, monkeypatch, capsys, args,
+                                         budget, code, message):
+    """One row per documented exit code of `code distance`, `dual` and
+    `expand`: exit 0 writes nothing to stderr, exit 1 and 2 one line.  The
+    budget row lowers the enumeration walk budget to 15 words, below the 16
+    of the [7,4]_2 walk that --cap 2^60 admits."""
+    if budget is not None:
+        monkeypatch.setattr(lincode, "_WALK_BUDGET", budget)
+    assert run_cli(args.split()) == code
+    out, err = capsys.readouterr()
+    if message is None:
+        assert err == "" and out
+    else:
+        assert out == "" and len(err.strip().splitlines()) == 1
+        assert message in err
+        assert err.startswith({1: "error: ", 2: "usage error: "}[code])
 
 
 def test_catalog_flow(runner, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from qct import families, gflinalg, lincode
 from qct.errors import CodeError, PreconditionError, SearchCapExceeded
-from qct.galois import build_field, get_embedding, standard_basis
+from qct.galois import build_field, field_from_q, get_embedding, standard_basis
 from qct.lincode import (Bound, LinearCode, code_from_json, direct_sum, expand_basis,
                          expand_with_parity, is_mds, mds_witness, min_distance,
                          relative_min_weight)
@@ -119,6 +119,87 @@ def test_kernel_binary_word_boundaries(n, monkeypatch):
         c2, c1 = random_nested_pair(rng, F2, 7, n, density)
         assert c1 is not None
         check_against_oracle(c2, c1)
+
+
+def _random_boundary_pair(q, n, k, seed):
+    """A random [n,k]_q code, and the subcode spanned by its lightest rref
+    row, so that the relative walk must pass over that word."""
+    f, rng = field_from_q(q), np.random.default_rng(seed)
+    while True:
+        mat = rng.integers(0, q, (k, n)) * (rng.random((k, n)) < 0.5)
+        code = LinearCode(f, mat)
+        if code.k == k:
+            break
+    light = code.matrix[np.argmin(np.count_nonzero(code.matrix, axis=1))]
+    return code, LinearCode(f, light[None])
+
+
+def _heavy_pair(n, width):
+    """The [n,2]_2 code spanned by the all-one word and `width` leading
+    ones, over the [n,1]_2 repetition code."""
+    ones = np.ones(n, dtype=np.int64)
+    rows = np.stack([ones, (np.arange(n) < width).astype(np.int64)])
+    return LinearCode(F2, rows), LinearCode(F2, ones[None])
+
+
+def _two_syndrome_words():
+    """A [70,3]_2 code over the [70,1]_2 repetition code.  The syndrome of
+    a word x is x_i + x_69 for i < 69, 69 bits in two uint64 words, and
+    e_64, the lightest word outside the inner code, has its syndrome in the
+    second word only."""
+    ones = np.ones(70, dtype=np.int64)
+    rows = np.stack([ones, np.eye(70, dtype=np.int64)[64],
+                     (np.arange(70) < 3).astype(np.int64)])
+    return LinearCode(F2, rows), LinearCode(F2, ones[None])
+
+
+BOUNDARY_CASES = {
+    # the codeword ends just before, at and after a uint64 word
+    **{f"GF{q}-n{n}": (lambda q=q, n=n, k=k: _random_boundary_pair(q, n, k, n))
+       for q, k in ((2, 5), (4, 3)) for n in (63, 64, 65, 128)},
+    "GF2-syndrome-in-two-words": _two_syndrome_words,
+    "GF16-four-planes": lambda: _random_boundary_pair(16, 20, 2, 16),
+    "GF9-odd-two-planes": lambda: _random_boundary_pair(9, 24, 3, 9),
+    "GF25-odd-two-planes": lambda: _random_boundary_pair(25, 16, 2, 25),
+    # weights and the marker n + 1 past uint8
+    "GF2-n255": lambda: _heavy_pair(255, 200),
+    "GF2-n300": lambda: _heavy_pair(300, 150),
+}
+
+
+@pytest.mark.parametrize("case", BOUNDARY_CASES)
+def test_kernel_boundary_shapes(case, monkeypatch):
+    """Value and witness, absolute and relative, against the naive oracle.
+    At the default _TABLE_BYTES the whole code is the table (t = k); at 64
+    bytes the walk spans several blocks."""
+    code, inner = BOUNDARY_CASES[case]()
+    want = naive_first_minimum(code), naive_first_minimum(code, inner)
+    for table_bytes in (lincode._TABLE_BYTES, 64):
+        monkeypatch.setattr(lincode, "_TABLE_BYTES", table_bytes)
+        assert lincode._enumerate(code, None) == want[0]
+        assert lincode._enumerate(code, inner) == want[1]
+
+
+def test_walk_over_budget_raises_before_the_table(monkeypatch):
+    """A walk that would visit more words than _WALK_BUDGET raises
+    SearchCapExceeded before any table is built; at the budget it runs.
+    The [7,4]_2 walk visits 16 words."""
+    monkeypatch.setattr(lincode, "_WALK_BUDGET", 16)
+    assert min_distance(hamming()).value == 3
+    monkeypatch.setattr(lincode, "_WALK_BUDGET", 15)
+
+    def no_table(p):
+        def add(*args, **kwargs):
+            raise AssertionError("table built")
+        return add
+    monkeypatch.setattr(lincode, "_plane_adder", no_table)
+    code = hamming()
+    with pytest.raises(SearchCapExceeded, match="up to 16 words, over the "
+                                                "budget 15"):
+        min_distance(code, cap=2 ** 60)
+    assert code.distance_info is None
+    with pytest.raises(SearchCapExceeded, match="up to 16 words"):
+        relative_min_weight(code, LinearCode(F2, HAMMING[:1]))
 
 
 def test_canonical_form_equality():

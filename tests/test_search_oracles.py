@@ -1,9 +1,10 @@
 """The witness search, which finds each information set by eliminating the
 smaller of G and H, against the per-set search it replaced: a full rref of
-the generator with the syndrome columns G.H1^T appended, kept here as an
-oracle.  Also gflinalg.complement against the null-space double loop, the
-dual and the MDS witness read off the rref against the null-space routes
-they replaced, and the GF(2) product against the log/antilog route."""
+the generator with the syndrome columns G.H1^T appended, in the row-major
+digit-plane layout the kernel used before, kept here as an oracle.  Also
+gflinalg.complement against the null-space double loop, the dual and the
+MDS witness read off the rref against the null-space routes they replaced,
+and the GF(2) product against the log/antilog route."""
 
 import random
 
@@ -13,8 +14,82 @@ import pytest
 from qct import families, gflinalg, lincode
 from qct.galois import build_field
 from qct.lincode import LinearCode
+from test_lincode import BOUNDARY_CASES
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]
+
+
+# The row-major digit-plane helpers the kernel used before its word-major
+# layout, copied verbatim (less the Field annotations) as oracles, so that
+# the oracle search shares no layout code with the search it checks.
+
+def _digit_planes(f, vals: np.ndarray, n: int) -> np.ndarray:
+    """Elements (..., N) -> base-p digit planes (..., e, W).
+
+    For p = 2 each plane is packed little-endian into uint64 words, with
+    positions [0, n) and [n, N) starting separate words; for odd p each
+    digit is the smallest unsigned integer that holds 2(p - 1), the sum of
+    two digits (see _plane_adder).
+    """
+    if f.p != 2:
+        digits = (vals[..., None, :] // f.p ** np.arange(f.e)[:, None]) % f.p
+        return digits.astype(np.min_scalar_type(2 * (f.p - 1)))
+    digits = (vals[..., None, :] >> np.arange(f.e)[:, None]) & 1
+    parts = []
+    for part in (digits[..., :n], digits[..., n:]):
+        pad = -part.shape[-1] % 64
+        part = np.pad(part.astype(np.uint8),
+                      [(0, 0)] * (part.ndim - 1) + [(0, pad)])
+        parts.append(np.packbits(part, axis=-1, bitorder="little").view("<u8"))
+    return np.concatenate(parts, axis=-1)
+
+
+def _plane_adder(p: int):
+    """Addition of digit planes: XOR of packed bits for p = 2, digitwise
+    addition mod p otherwise.
+
+    For odd p the planes are unsigned (see _digit_planes) and wide enough
+    for s = a + b <= 2(p - 1), so 2^bits > p.  Then s - p wraps to
+    s - p + 2^bits > s when s < p, and min(s, s - p) is s mod p without a
+    branch or a mask."""
+    if p == 2:
+        return np.bitwise_xor
+
+    def add(a, b):
+        s = a + b
+        return np.minimum(s, s - p, out=s)
+    return add
+
+
+def _weights(f, block: np.ndarray, n: int, wc: int,
+             relative: bool) -> np.ndarray:
+    """Hamming weights of a block of digit-plane words; with `relative`,
+    words whose syndrome digits are all zero get weight n + 1."""
+    nz = block[:, 0, :wc]
+    for pl in range(1, f.e):
+        nz = nz | block[:, pl, :wc]
+    if f.p == 2:
+        bits = np.bitwise_count(nz)
+        weights = bits[:, 0].astype(np.int64)
+        for w in range(1, wc):   # cheaper than a reduction over words
+            weights += bits[:, w]
+    else:
+        weights = np.count_nonzero(nz, axis=1)
+    if relative:
+        inside = ~block[:, :, wc:].reshape(len(block), -1).any(axis=1)
+        weights[inside] = n + 1
+    return weights
+
+
+def _word(f, planes: np.ndarray, n: int, wc: int) -> np.ndarray:
+    """The length-n field vector held in one word's digit planes."""
+    if f.p == 2:
+        digits = np.unpackbits(planes[:, :wc].copy().view(np.uint8), axis=-1,
+                               bitorder="little")[:, :n]
+    else:
+        digits = planes[:, :n]
+    scale = (f.p ** np.arange(f.e))[:, None]
+    return (digits.astype(np.int64) * scale).sum(axis=0)
 
 
 def oracle_witness_search(code, exclude, target):
@@ -27,7 +102,7 @@ def oracle_witness_search(code, exclude, target):
         g = np.concatenate(
             [g, gflinalg.matmul(g, exclude.parity_check().T, f)], axis=1)
     wc = -(-n // 64) if f.p == 2 else n
-    add = lincode._plane_adder(f.p)
+    add = _plane_adder(f.p)
     rng = random.Random(0)
     perm = list(range(n))
     tail = list(range(n, g.shape[1]))
@@ -36,7 +111,7 @@ def oracle_witness_search(code, exclude, target):
         rng.shuffle(perm)
         r, _ = gflinalg.rref(g[:, perm + tail], f)
         k = len(r)
-        rows = lincode._digit_planes(
+        rows = _digit_planes(
             f, f.vmul(np.arange(1, f.order)[:, None, None], r[None]), n)
         rows = rows.reshape(-1, *rows.shape[2:])
         table = np.concatenate([np.zeros_like(rows[:1]), rows])
@@ -44,13 +119,13 @@ def oracle_witness_search(code, exclude, target):
         for i in range(0, k, step):
             block = add(rows[i:min(i + step, k), None], table[None])
             block = block.reshape(-1, *table.shape[1:])
-            weights = lincode._weights(f, block, n, wc, exclude is not None)
+            weights = _weights(f, block, n, wc, exclude is not None)
             if exclude is None:
                 weights[weights == 0] = n + 1
             j = int(np.argmin(weights))
             if weights[j] < best_w:
                 best_w, best = int(weights[j]), np.empty(n, dtype=np.int64)
-                best[perm] = lincode._word(f, block[j], n, wc)
+                best[perm] = _word(f, block[j], n, wc)
             if best_w <= target:
                 return best_w, best
     return best_w, best
@@ -158,6 +233,19 @@ def test_witness_search_matches_full_rref_oracle(case, target):
     for inner in inners:
         got = lincode._witness_search(code, inner, target)
         want = oracle_witness_search(code, inner, target)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("case", BOUNDARY_CASES)
+def test_witness_search_matches_oracle_on_boundary_shapes(case):
+    """The kernel's boundary shapes (word ends, a two-word syndrome, four
+    planes, odd p with two planes, weights past uint8), absolute and
+    relative; every search runs all information sets (target 1) unless it
+    meets a weight-1 word."""
+    code, inner = BOUNDARY_CASES[case]()
+    for exclude in (None, inner):
+        got = lincode._witness_search(code, exclude, 1)
+        want = oracle_witness_search(code, exclude, 1)
         assert got[0] == want[0] and np.array_equal(got[1], want[1])
 
 
