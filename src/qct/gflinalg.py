@@ -12,20 +12,14 @@ from .galois import Field
 _RREF_BUDGET = 1 << 34
 
 
-def _add_outer(acc, coef, row, field: Field):
-    """acc + coef[:, None] * row, through the field's vmul and vadd: one
-    table lookup each for q <= galois.TABLE_MAX, log/antilog and base-p
-    digits above it; no np.unique."""
-    return field.vadd(acc, field.vmul(coef[:, None], row))
-
-
 def rref(mat, field: Field):
     """Reduced row echelon form. Returns (R, pivot_columns); zero rows dropped.
 
     Each pivot clears its column from every other row in one vectorized
-    update.  A matrix whose shape allows more than _RREF_BUDGET entry
-    updates (rows * rank bound * cols) raises SearchCapExceeded before any
-    elimination."""
+    update, a vmul and a vadd: one table lookup each for q <=
+    galois.TABLE_MAX, log/antilog and base-p digits above it.  A matrix
+    whose shape allows more than _RREF_BUDGET entry updates (rows * rank
+    bound * cols) raises SearchCapExceeded before any elimination."""
     a = np.asarray(mat)
     if a.ndim != 2:
         raise CodeError("matrix must be two-dimensional")
@@ -51,8 +45,8 @@ def rref(mat, field: Field):
         others = a[:, c].nonzero()[0]
         others = others[others != r]
         if others.size:
-            a[others] = _add_outer(a[others], field.vneg(a[others, c]), a[r],
-                                   field)
+            coef = field.vneg(a[others, c])
+            a[others] = field.vadd(a[others], field.vmul(coef[:, None], a[r]))
         pivots.append(c)
         r += 1
     return a[:r], pivots
@@ -63,16 +57,16 @@ def rank(mat, field: Field) -> int:
 
 
 def reduce_vector(r, pivots, v, field: Field):
-    """Residual of v after elimination against an rref matrix; v may be one
-    vector or a matrix whose rows are reduced together."""
-    v = np.array(v, dtype=np.int64)
+    """Residual of v after elimination against an rref matrix r with pivots
+    P; v may be one vector or a matrix whose rows are reduced together.
+
+    It is v - v[:, P].r, one product: since r[:, P] = I, eliminating one
+    pivot leaves v's entries at the other pivots as they are, so each
+    pivot's coefficient is v's own entry there."""
+    v = np.asarray(v, dtype=np.int64)
     rows = v.reshape(-1, v.shape[-1])
-    for i, c in enumerate(pivots):
-        hit = rows[:, c].nonzero()[0]
-        if hit.size:
-            rows[hit] = _add_outer(rows[hit], field.vneg(rows[hit, c]), r[i],
-                                   field)
-    return v
+    coef = matmul(rows[:, pivots], r, field)
+    return field.vadd(rows, field.vneg(coef)).reshape(v.shape)
 
 
 def in_rowspace(r, pivots, v, field: Field) -> bool:
@@ -91,15 +85,57 @@ def complement(r, pivots, field: Field):
     return out, free
 
 
+def perp_rref(r, pivots, field: Field, perm=None):
+    """The rref of the null space of r with its columns in the order `perm`
+    (all columns, in order, by default), and its pivots, given r[:, pivots]
+    = I: min(k, n - k) pivot steps for a k x n matrix r.
+
+    When k >= n - k it is the rref of complement(r)[:, perm], n - k steps.
+    Otherwise it takes the rref B of r[:, perm] with its columns reversed,
+    k steps.  B reversed in rows and columns is zero right of each pivot, so
+    its complement is already an rref; the rref is unique, so that is the
+    same matrix, with the same pivots, as the other route."""
+    n = r.shape[1]
+    perm = np.arange(n) if perm is None else np.asarray(perm)
+    if 2 * len(r) >= n:
+        return rref(complement(r, pivots, field)[0][:, perm], field)
+    b, rev = rref(r[:, perm[::-1]], field)
+    out, free = complement(b[::-1, ::-1], [n - 1 - c for c in reversed(rev)],
+                           field)
+    return out, free.tolist()
+
+
 def matmul(a, b, field: Field):
+    """a.b over the field, in one integer product per base-p digit plane of
+    a, with no loop over the inner index.
+
+    An element is the sum of its base-p digits a_s times x^s, so a.b is
+    the sum over s of a_s.(x^s.b): plane s of a (integers 0..p-1) times
+    the base-p digits of the field matrix x^s.b, all digits in one product;
+    each output digit is summed over s and reduced mod p at the end.  Over
+    GF(p) that is (a @ b) mod p.  The products are float64, whose integer
+    sums are exact while e.K.(p - 1)^2 < 2^53 for inner size K; since
+    p^e <= SIZE_CAP = 2^16 keeps e.(p - 1)^2 below 2^32, every K < 2^21 is
+    exact, and a K past the bound raises CodeError.  Temporaries are e
+    times the size of b and of the output: the digits of one x^s.b at a
+    time."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    if a.shape[1] != b.shape[0]:
+    (rows, inner), cols = a.shape, b.shape[1]
+    if inner != b.shape[0]:
         raise CodeError("matmul shape mismatch")
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for k in range(a.shape[1]):
-        out = _add_outer(out, a[:, k], b[k], field)
-    return out
+    p, e = field.p, field.e
+    if e * inner * (p - 1) ** 2 >= 1 << 53:
+        raise CodeError(f"matmul over {field} with inner size {inner}: float64 "
+                        f"sums would not be exact")
+    scale = p ** np.arange(e)
+    acc = 0
+    for s in range(e):
+        digits = field.vmul(p ** s, b)[:, None] // scale[:, None] % p
+        acc = acc + (a // scale[s] % p) @ digits.reshape(
+            inner, e * cols).astype(np.float64)
+    out = acc.astype(np.int64).reshape(rows, e, cols) % p
+    return (out * scale[:, None]).sum(axis=1)
 
 
 def inv_matrix(mat, field: Field):

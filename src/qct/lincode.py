@@ -40,19 +40,24 @@ Above the cap (q^k > cap) nothing is enumerated.  A Lee-Brickell
 information-set search (p <= 2, a fixed seed and a fixed number of
 information sets) looks for a light codeword in the same digit planes.  Each
 information set is found by eliminating the smaller of G and H (matroid
-duality), so a high-rate code takes n - k pivot steps per set instead of
-k.  The result is exact only when that witness, checked to be in the code
-and outside C1, meets a certified lower bound: the design (BCH) distance,
-or d >= 2 when no weight-1 word lies in C2 \\ C1.  The exact methods are
-`witness_meets_bch_bound`, `witness_meets_no_weight_one` and, for a
-weight-1 word, `witness_meets_nonzero`.  Otherwise the result is a
-`lower_bound` (method `bch_bound` or `no_weight_one`), or a declared
-distance the witness does not refute (kind and method `declared`), with the
-witness weight as `upper`.  A declared distance is never a certificate.
+duality, through gflinalg.perp_rref), so a high-rate code takes n - k
+pivot steps per set instead of k.  The result is exact only when that
+witness, checked to be in the code and outside C1, meets a certified lower
+bound: the design (BCH) distance, or d >= 2 when no weight-1 word lies in
+C2 \\ C1.  The exact methods are `witness_meets_bch_bound`,
+`witness_meets_no_weight_one` and, for a weight-1 word,
+`witness_meets_nonzero`.  Otherwise the result is a `lower_bound` (method
+`bch_bound` or `no_weight_one`), or a declared distance the witness does
+not refute (kind and method `declared`), with the witness weight as
+`upper`.  A declared distance is never a certificate.
 
-Duals, information sets, syndrome columns and MDS witnesses are read off a
-code's rref R and its pivots P, where R[:, P] = I, through
-gflinalg.complement: the null space of R in systematic form.
+Duals, information sets, syndrome columns and containment are read off a
+code's rref R and its pivots P, where R[:, P] = I.  Every dual and every
+information set comes from gflinalg.perp_rref in min(k, n - k) pivot
+steps: the rref of gflinalg.complement (the null space of R in systematic
+form) when 2k >= n, else the rref of R with its columns reversed, whose
+complement reversed back is already the rref of the null space.
+Containment is one product, v - v[:, P].R (gflinalg.reduce_vector).
 
 A basis expansion reads a whole-field coordinate table, built once per
 basis by one GF(p) product, with one lookup for all generator rows.
@@ -180,11 +185,14 @@ class LinearCode:
 
     # -- duals ----------------------------------------------------------------
     def dual(self) -> "LinearCode":
+        """The Euclidean dual, from gflinalg.perp_rref of the rref: k pivot
+        steps when 2k < n, n - k otherwise.  Computed once; the dual's own
+        dual is this code."""
         if self._dual is None:
-            ns, _ = gflinalg.complement(self.matrix, self.pivots, self.field)
             d = LinearCode.__new__(LinearCode)
             d.field = self.field
-            d.matrix, d.pivots = gflinalg.rref(ns, self.field)
+            d.matrix, d.pivots = gflinalg.perp_rref(self.matrix, self.pivots,
+                                                    self.field)
             d.n = self.n
             d.provenance = f"dual({self.provenance})" if self.provenance else "dual"
             d.design_distance = None
@@ -223,10 +231,8 @@ class LinearCode:
 
     def extend_parity(self) -> "LinearCode":
         f = self.field
-        sums = np.zeros(self.k, dtype=np.int64)
-        for j in range(self.n):
-            sums = f.vadd(sums, self.matrix[:, j])
-        rows = np.concatenate([self.matrix, f.vneg(sums)[:, None]], axis=1)
+        sums = gflinalg.matmul(self.matrix, np.ones((self.n, 1), np.int64), f)
+        rows = np.concatenate([self.matrix, f.vneg(sums)], axis=1)
         return LinearCode(f, rows, provenance=f"extend({self.provenance})")
 
     def params(self) -> tuple:
@@ -432,22 +438,12 @@ def _syndromes(r, pivots, s, f: Field):
 
 
 def _systematic(code: LinearCode, perm):
-    """rref(code.matrix[:, perm]) and its pivots, from whichever of G and H
-    has fewer rows.
-
-    The pivots are the first information set J in column order.  Its
-    complement D is the first basis of the dual matroid taken from the
-    right, so a high-rate code finds D by a rref of the column-reversed
-    H[:, perm], in n - k pivot steps instead of k, and R is the complement
-    of that rref in forward column order; the rref is unique, so R is the
-    same array either way."""
-    n = code.n
-    if 2 * code.k <= n:
-        return gflinalg.rref(code.matrix[:, perm], code.field)
-    b, rev = gflinalg.rref(code.parity_check()[:, perm][:, ::-1], code.field)
-    r, j = gflinalg.complement(b[::-1, ::-1],
-                               [n - 1 - c for c in reversed(rev)], code.field)
-    return r, j.tolist()
+    """rref(code.matrix[:, perm]) and its pivots, in min(k, n - k) pivot
+    steps: gflinalg.perp_rref of the parity check H, since the code is the
+    null space of H.  The pivots are the first information set in column
+    order."""
+    h = code.dual()
+    return gflinalg.perp_rref(h.matrix, h.pivots, code.field, perm)
 
 
 def _witness_search(code: LinearCode, exclude: LinearCode | None,

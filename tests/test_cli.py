@@ -235,6 +235,34 @@ def test_distance_dual_expand_exit_codes(code_files, monkeypatch, capsys, args,
         assert err.startswith({1: "error: ", 2: "usage error: "}[code])
 
 
+@pytest.mark.parametrize("args,message", [
+    pytest.param("quantum css --c1 ham.json --c2 simplex.json",
+                 "C1 is not contained in C2", id="css-not-contained"),
+    pytest.param("quantum css --c1 ham.json --c2 bch4.json",
+                 "CSS input codes must share field and length",
+                 id="css-mismatch"),
+    pytest.param("quantum css --hermitian --c1 simplex.json --c2 ham.json",
+                 "GF(2) is not a square extension", id="css-hermitian-gf2"),
+    pytest.param("quantum css --c1 missing.json --c2 ham.json",
+                 "cannot load missing.json", id="css-unreadable"),
+    pytest.param("quantum css --c1 zero.json --c2 rs.json",
+                 "generator matrix must be a non-empty", id="css-rank-0"),
+    pytest.param("quantum allone simplex.json",
+                 "code does not contain the all-one codeword",
+                 id="allone-no-all-one-word"),
+    pytest.param("quantum best --variant bch --source missing.json",
+                 "cannot load missing.json", id="best-missing-source"),
+])
+def test_quantum_exit_codes(code_files, capsys, args, message):
+    """One row per exit-1 case of `quantum css`, `allone` and `best`: empty
+    stdout and one stderr line.  The first and the sixth row are refused by
+    the containment check (contains_code, contains_word)."""
+    assert run_cli(args.split()) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert err.startswith("error: ") and message in err
+
+
 def test_catalog_flow(runner, tmp_path):
     cat = str(tmp_path / "cat.jsonl")
     res = invoke(runner, ["code", "build", "rs", "--q", "4", "--k", "2",

@@ -432,8 +432,8 @@ def test_rref_budget_is_checked_on_shape(monkeypatch):
 
     def no_elimination(*args):
         raise AssertionError("elimination started")
-    monkeypatch.setattr(gflinalg, "_add_outer", no_elimination)
-    monkeypatch.setattr(F4, "vmul", no_elimination)
+    for op in ("vmul", "vadd", "vneg"):
+        monkeypatch.setattr(F4, op, no_elimination)
     with pytest.raises(SearchCapExceeded, match="3 x 4 matrix"):
         gflinalg.rref(mat, F4)
     with pytest.raises(SearchCapExceeded, match="4 x 3 matrix"):

@@ -1,7 +1,8 @@
 """Oracle-equivalence property suites: basis-expansion duality, defining-set
 versus matrix Hermitian duals, enumeration versus a naive weight oracle, the
-witness search versus enumeration, and the vectorized elimination versus a
-per-row reference, and the scalar-class walk of the enumeration kernel
+witness search versus enumeration, the vectorized elimination versus a
+per-row reference, the one-product matmul and reduce_vector versus the loops
+they replaced, and the scalar-class walk of the enumeration kernel
 and its stop at a BCH design distance versus the naive first-minimum
 oracle."""
 
@@ -305,7 +306,8 @@ def matmul_scalar(a, b, field):
     return out
 
 
-@pytest.mark.parametrize("spec", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("spec", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2),
+                                  (257, 1), (2, 9), (2, 16)])
 def test_rref_and_containment_match_per_row_oracles(spec):
     """Square, tall, wide and rank-deficient matrices; batched containment
     against word-by-word membership, on subcodes and on random codes."""
@@ -341,6 +343,93 @@ def test_rref_and_containment_match_per_row_oracles(spec):
             contained += got
             refused += not got
     assert deficient >= 10 and contained >= 10 and refused >= 5
+
+
+# The loop versions of gflinalg.reduce_vector and gflinalg.matmul, from
+# before each became one product, with their _add_outer, copied verbatim
+# (less the Field annotations) as oracles.
+
+def _add_outer(acc, coef, row, field):
+    """acc + coef[:, None] * row, through the field's vmul and vadd: one
+    table lookup each for q <= galois.TABLE_MAX, log/antilog and base-p
+    digits above it; no np.unique."""
+    return field.vadd(acc, field.vmul(coef[:, None], row))
+
+
+def reduce_vector(r, pivots, v, field):
+    """Residual of v after elimination against an rref matrix; v may be one
+    vector or a matrix whose rows are reduced together."""
+    v = np.array(v, dtype=np.int64)
+    rows = v.reshape(-1, v.shape[-1])
+    for i, c in enumerate(pivots):
+        hit = rows[:, c].nonzero()[0]
+        if hit.size:
+            rows[hit] = _add_outer(rows[hit], field.vneg(rows[hit, c]), r[i],
+                                   field)
+    return v
+
+
+def matmul(a, b, field):
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if a.shape[1] != b.shape[0]:
+        raise CodeError("matmul shape mismatch")
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for k in range(a.shape[1]):
+        out = _add_outer(out, a[:, k], b[k], field)
+    return out
+
+
+PRODUCT_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (7, 2), (257, 1), (2, 9),
+                  (2, 16), (65521, 1)]
+
+
+@pytest.mark.parametrize("spec", PRODUCT_FIELDS)
+def test_products_match_frozen_loop_oracles(spec):
+    """matmul and reduce_vector against the loops they replaced: empty,
+    thin and square shapes, one vector and a matrix of them, words inside
+    and outside the row space."""
+    f = build_field(*spec)
+    rng = np.random.default_rng(spec[0] * 37 + spec[1])
+    for rows, inner, cols in [(0, 3, 4), (3, 0, 4), (3, 4, 0), (1, 1, 1),
+                              (1, 9, 1), (5, 7, 3), (12, 12, 12)]:
+        a = rng.integers(0, f.order, (rows, inner))
+        b = rng.integers(0, f.order, (inner, cols))
+        got = gflinalg.matmul(a, b, f)
+        assert got.dtype == np.int64 and np.array_equal(got, matmul(a, b, f))
+    for k, n in [(1, 5), (3, 9), (6, 9), (9, 9)]:
+        r, pivots = gflinalg.rref(rng.integers(0, f.order, (k, n)), f)
+        inside = matmul(rng.integers(0, f.order, (4, len(r))), r, f)
+        for v in (rng.integers(0, f.order, n), rng.integers(0, f.order, (4, n)),
+                  inside, inside[0]):
+            got = gflinalg.reduce_vector(r, pivots, v, f)
+            assert got.shape == v.shape
+            assert np.array_equal(got, reduce_vector(r, pivots, v, f))
+        assert gflinalg.in_rowspace(r, pivots, inside, f)
+
+
+def test_prime_field_product_past_two_to_the_32():
+    """Over GF(65521) with inner size 2048 the integer sums of a.b pass
+    2^32 (and stay below 2^53): the product is still exact."""
+    f = build_field(65521, 1)
+    rng = np.random.default_rng(65521)
+    a = rng.integers(f.order - 100, f.order, (3, 2048))
+    b = rng.integers(f.order - 100, f.order, (2048, 4))
+    exact = a.astype(object) @ b.astype(object)
+    assert exact.min() > 2 ** 32
+    got = gflinalg.matmul(a, b, f)
+    assert np.array_equal(got, (exact % f.p).astype(np.int64))
+    assert np.array_equal(got, matmul(a, b, f))
+
+
+def test_product_past_exact_float_sums_raises():
+    """An inner size whose float64 sums could pass 2^53 is refused from the
+    shape alone (the arrays here are empty)."""
+    f = build_field(65521, 1)
+    with pytest.raises(CodeError, match="inner size 4194304"):
+        gflinalg.matmul(np.zeros((0, 1 << 22)), np.zeros((1 << 22, 0)), f)
+    assert gflinalg.matmul(np.zeros((0, 1 << 21)), np.zeros((1 << 21, 0)),
+                           f).shape == (0, 0)
 
 
 # -- every exact bound's witness is a checked codeword ------------------------

@@ -291,13 +291,16 @@ def test_rref_of_no_rows_has_no_pivots():
 
 
 DUAL_CASES = [(p, e, n, k) for p, e in FIELDS for n in (8, 10)
-              for k in (0, 1, n // 2, n)]
+              for k in range(n + 1)]
 
 
 @pytest.mark.parametrize("case", DUAL_CASES, ids=case_id)
 def test_dual_matches_nullspace_oracle(case):
-    """Rank 0, k = 1, 2k = n and k = n: the dual read off the complement
-    of the rref is the rref of the null space, pivots included."""
+    """Every k from rank 0 to n: the dual is the rref of the null space,
+    pivots included, whichever route gflinalg.perp_rref takes (the
+    reversed rref of G for 2k < n, the rref of the complement otherwise),
+    and the dual of a fresh copy of the dual (the other route, unless
+    2k = n) is the code again."""
     p, e, n, k = case
     f = build_field(p, e)
     rng = np.random.default_rng(3000 * n + 10 * k + p ** e)
@@ -310,6 +313,9 @@ def test_dual_matches_nullspace_oracle(case):
         assert d.pivots == want_piv and d.k == n - k
         assert d.dual() is code
         assert not gflinalg.matmul(code.matrix, d.matrix.T, f).any()
+        if d.k:
+            again = LinearCode(f, d.matrix).dual()
+            assert again == code and again.pivots == code.pivots
     if k == 0:
         assert np.array_equal(code.dual().matrix, np.eye(n, dtype=np.int64))
 
