@@ -131,8 +131,9 @@ class LinearCode:
 
     `design_distance` is a proven lower bound on the minimum distance, set
     only by constructors that prove it (the BCH bound of a defining set,
-    q - k for Reed-Solomon) and lowered by one per puncture; it is never
-    loaded from JSON.  `declared_distance` is a claimed, unverified value.
+    q - k for Reed-Solomon), kept by conjugation and lowered by one per
+    puncture; it is never loaded from JSON.  `declared_distance` is a
+    claimed, unverified value.
     """
 
     def __init__(self, field: Field, rows, provenance: str = "",
@@ -203,9 +204,12 @@ class LinearCode:
         return self._dual
 
     def conjugated(self) -> "LinearCode":
-        """Entrywise Frobenius conjugation x -> x^q over GF(q^2)."""
+        """Entrywise Frobenius conjugation x -> x^q over GF(q^2).  It keeps
+        every weight, so the design and declared distances carry over."""
         return LinearCode(self.field, self.field.vconj(self.matrix),
-                          provenance=f"conj({self.provenance})")
+                          provenance=f"conj({self.provenance})",
+                          design_distance=self.design_distance,
+                          declared_distance=self.declared_distance)
 
     def hermitian_dual(self) -> "LinearCode":
         """Euclidean dual of the entrywise q-conjugated code."""

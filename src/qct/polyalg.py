@@ -66,11 +66,6 @@ class DefiningSet:
                 "exponents": self.sorted_exponents}
 
 
-def defining_set_from_json(rec: dict) -> DefiningSet:
-    return DefiningSet(rec["kind"], rec["n"], rec["q"],
-                       frozenset(rec["exponents"]))
-
-
 def odd_residues(n: int):
     """O_n: the odd integers in [1, 2n-1]."""
     return frozenset(range(1, 2 * n, 2))

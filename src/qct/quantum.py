@@ -4,9 +4,10 @@ pipelines built on them, and bound calculators.
 All emitted records are normalized so dz >= dx; the raw unordered pair is kept
 in the provenance together with every verification the pipeline performed.
 
-Every matrix-level CSS pair of C1 < C2 comes from _css_pair.  Only
-css_standard, css_hermitian and allone_aqc compute a purity, by the paper's
-rule (pure iff the pair is {d(C2), d(C1perp)}); other records read "unknown".
+Every matrix-level CSS pair of C1 < C2 comes from _css_pair, a Hermitian one
+as the css_standard record of C1^(perp h) < C2.  Only css_standard and
+allone_aqc compute a purity, by the paper's rule (pure iff the pair is
+{d(C2), d(C1perp)}); other records read "unknown".
 """
 
 from __future__ import annotations
@@ -120,8 +121,10 @@ def css_standard(c1: LinearCode, c2: LinearCode,
 
 def css_hermitian(c1: LinearCode, c2: LinearCode,
                   cap: int = DEFAULT_CAP) -> AqcParams:
-    """Hermitian CSS pair over GF(q^2) with C1^(perp h) < C2:
-    [[n, k1+k2-n, {d1, d2}]]_q, reading dim C1^(perp h) as n - k1."""
+    """Hermitian CSS pair over GF(q^2) with C1^(perp h) < C2: the css_standard
+    record of C1^(perp h) < C2 with q in its label.  The dual of C1^(perp h)
+    is conj(C1), of C1's weights, so the pair is {wt(C2\\C1^(perp h)),
+    wt(C1\\C2^(perp h))}, k = k1+k2-n, and pure iff it is {d(C2), d(C1)}."""
     if c1.field != c2.field or c1.n != c2.n:
         raise PreconditionError("CSS input codes must share field and length")
     if not c1.field.is_square_order:
@@ -133,17 +136,13 @@ def css_hermitian(c1: LinearCode, c2: LinearCode,
     k = c1.k + c2.k - c1.n
     if k <= 0:
         raise PreconditionError(f"derived dimension {k} is not positive")
-    r1 = min_distance(c1, cap)
-    r2 = min_distance(c2, cap)
-    prov = {"construction": "css_hermitian",
-            "inputs": [repr(c1), repr(c2)],
-            "raw_pair": [r1.to_json(), r2.to_json()],
-            "notes": ["k reads k_2 - dim C_1^(perp h) with "
-                      "dim C_1^(perp h) = n - k_1"]}
-    dz, dx = _normalize(r1, r2, prov)
-    purity = "pure" if dz.exact and dx.exact else "unknown"
-    return AqcParams(c1.n, k, dz, dx, c1.field.conj_base, purity=purity,
-                     provenance=prov)
+    rec = css_standard(h1, c2, cap)
+    rec.q = c1.field.conj_base
+    rec.provenance.update(construction="css_hermitian",
+                          inputs=[repr(c1), repr(c2)])
+    rec.provenance.setdefault("notes", []).insert(
+        0, "k reads k_2 - dim C_1^(perp h) with dim C_1^(perp h) = n - k_1")
+    return rec
 
 
 def allone_aqc(code: LinearCode, cap: int = DEFAULT_CAP) -> AqcParams:
@@ -302,7 +301,8 @@ def _formula_then_css(da: int, db: int, c1: LinearCode, c2: LinearCode,
                       prov: dict, cap: int):
     """The normalized (dz, dx) of a formula record, verified at matrix level:
     the CSS pair of C1 < C2 (its raw pair in `prov`) when q^k2 is within the
-    cap, else the formula pair as declared."""
+    cap, else the formula pair (in `prov` either way) as declared."""
+    prov["formula_pair"] = [da, db]
     if c2.field.order ** c2.k > cap:
         return _normalize(*_declared(da, db), prov)
     pair = _css_pair(c1, c2, cap)

@@ -139,6 +139,10 @@ def code_files(tmp_path, monkeypatch):
              "bch4": families.bch_narrow_sense(f4, 15, 7),
              "h1": LinearCode(f4, np.array([[1, 1]])),
              "h2": LinearCode(f4, np.eye(2, dtype=np.int64)),
+             "hd1": LinearCode(f4, np.array([[1, 2, 0], [0, 0, 1]])),
+             "e12": LinearCode(f4, np.eye(3, dtype=np.int64)[:2]),
+             "e3": LinearCode(f4, np.array([[0, 0, 1]])),
+             "f4all": LinearCode(f4, np.eye(3, dtype=np.int64)),
              "rs": families.rs_code(4, 2)}
     for key, code in codes.items():
         (tmp_path / f"{key}.json").write_text(json.dumps(code.to_json()))
@@ -153,6 +157,8 @@ def code_files(tmp_path, monkeypatch):
      "[[7,1,{3,3}]]_2 purity=pure exact=(exact,exact)"),
     ("quantum css --hermitian --c1 h1.json --c2 h2.json", 0,
      "[[2,1,{2,1}]]_2 purity=pure exact=(exact,exact)"),
+    ("quantum css --hermitian --c1 hd1.json --c2 e12.json", 0,
+     "[[3,1,{2,1}]]_2 purity=degenerate exact=(exact,exact)"),
     ("quantum allone ham.json", 0,
      "[[7,3,{3,2}]]_2 purity=pure exact=(exact,exact)"),
     ("quantum best --variant simplex --m 3", 0,
@@ -243,6 +249,15 @@ def test_distance_dual_expand_exit_codes(code_files, monkeypatch, capsys, args,
                  id="css-mismatch"),
     pytest.param("quantum css --hermitian --c1 simplex.json --c2 ham.json",
                  "GF(2) is not a square extension", id="css-hermitian-gf2"),
+    pytest.param("quantum css --hermitian --c1 f4all.json --c2 f4all.json",
+                 "CSS needs proper nesting with k2 > k1 >= 1",
+                 id="css-hermitian-zero"),
+    pytest.param("quantum css --hermitian --c1 e12.json --c2 e12.json",
+                 "C1^(perp h) is not contained in C2",
+                 id="css-hermitian-not-contained"),
+    pytest.param("quantum css --hermitian --c1 e12.json --c2 e3.json",
+                 "derived dimension 0 is not positive",
+                 id="css-hermitian-dimension"),
     pytest.param("quantum css --c1 missing.json --c2 ham.json",
                  "cannot load missing.json", id="css-unreadable"),
     pytest.param("quantum css --c1 zero.json --c2 rs.json",
@@ -255,8 +270,8 @@ def test_distance_dual_expand_exit_codes(code_files, monkeypatch, capsys, args,
 ])
 def test_quantum_exit_codes(code_files, capsys, args, message):
     """One row per exit-1 case of `quantum css`, `allone` and `best`: empty
-    stdout and one stderr line.  The first and the sixth row are refused by
-    the containment check (contains_code, contains_word)."""
+    stdout and one stderr line.  The first, fifth and ninth rows are refused
+    by a containment check (contains_code, contains_word)."""
     assert run_cli(args.split()) == 1
     out, err = capsys.readouterr()
     assert out == "" and len(err.strip().splitlines()) == 1

@@ -294,6 +294,16 @@ def test_hermitian_dual_gf4():
     assert c.conjugated().dual() == hd
 
 
+def test_conjugation_keeps_distance_certificates():
+    """Conjugation keeps weights, so d(conj C_s) is exact by the BCH bound
+    of C_s, as d(C_s) is."""
+    c = families.negacyclic_cs(9, 8, 4)
+    conj = c.conjugated()
+    assert conj.design_distance == c.design_distance
+    res = min_distance(conj)
+    assert (res.value, res.kind) == (3, "exact")
+
+
 def test_mds_and_witness():
     from qct.families import rs_code
     rs = rs_code(4, 2)

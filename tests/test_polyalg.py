@@ -4,8 +4,7 @@ from qct import families, polyalg
 from qct.errors import CodeError, PreconditionError
 from qct.galois import build_field, field_from_q
 from qct.polyalg import (DefiningSet, bch_bound, cyclotomic_coset,
-                         defining_set_closure, defining_set_from_json,
-                         generator_from_defining_set,
+                         defining_set_closure, generator_from_defining_set,
                          hermitian_dual_defining_set, odd_residues,
                          splitting_field, unity_root)
 
@@ -67,11 +66,6 @@ def test_defining_set_closure_validation():
         DefiningSet("cyclic", 15, 2, frozenset({1}))   # not closed
     with pytest.raises(CodeError):
         DefiningSet("negacyclic", 8, 81, frozenset({2}))  # even exponent
-
-
-def test_defining_set_json_roundtrip():
-    t = defining_set_closure([1, 3], "negacyclic", 8, 81)
-    assert defining_set_from_json(t.to_json()) == t
 
 
 def test_odd_residues():

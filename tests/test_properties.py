@@ -1,10 +1,10 @@
 """Oracle-equivalence property suites: basis-expansion duality, defining-set
 versus matrix Hermitian duals, enumeration versus a naive weight oracle, the
-witness search versus enumeration, the vectorized elimination versus a
-per-row reference, the one-product matmul and reduce_vector versus the loops
-they replaced, and the scalar-class walk of the enumeration kernel
-and its stop at a BCH design distance versus the naive first-minimum
-oracle."""
+Hermitian CSS pair versus naive relative weights, the witness search versus
+enumeration, the vectorized elimination versus a per-row reference, the
+one-product matmul and reduce_vector versus the loops they replaced, and the
+scalar-class walk of the enumeration kernel and its stop at a BCH design
+distance versus the naive first-minimum oracle."""
 
 import itertools
 from unittest import mock
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qct import families, gflinalg, lincode, polyalg
+from qct import families, gflinalg, lincode, polyalg, quantum
 from qct.errors import CodeError
 from qct.galois import (ExtensionBasis, build_field, find_dual_basis,
                         get_embedding, standard_basis)
@@ -121,20 +121,66 @@ def test_hermitian_dual_defining_set_equals_matrix_dual():
     assert checked >= 100
 
 
-def naive_distance(code):
-    best = None
-    q, k = code.field.order, code.k
-    for msg in itertools.product(range(q), repeat=k):
-        if not any(msg):
-            continue
+def naive_words(code):
+    """Every codeword, one message at a time, in scalar field arithmetic."""
+    f = code.field
+    for msg in itertools.product(range(f.order), repeat=code.k):
         word = [0] * code.n
         for i, m in enumerate(msg):
             if m:
                 for j in range(code.n):
-                    word[j] = code.field.add(
-                        word[j], code.field.mul(m, int(code.matrix[i, j])))
-        best = min(best or code.n + 1, sum(1 for x in word if x))
-    return best
+                    word[j] = f.add(word[j], f.mul(m, int(code.matrix[i, j])))
+        yield word
+
+
+def naive_distance(code):
+    return min(sum(1 for x in w if x) for w in naive_words(code) if any(w))
+
+
+def naive_weight_outside_hdual(outer, code):
+    """wt(outer \\ code^(perp h)): the least weight of a word of `outer`
+    whose Hermitian product sum_i w_i r_i^q with some row r of `code` is
+    not zero."""
+    f = outer.field
+    rows = [[f.conj(int(x)) for x in r] for r in code.matrix]
+
+    def hdot(w, r):
+        acc = 0
+        for a, b in zip(w, r):
+            acc = f.add(acc, f.mul(a, b))
+        return acc
+    return min(sum(1 for x in w if x) for w in naive_words(outer)
+               if any(hdot(w, r) for r in rows))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([((2, 2), 6), ((3, 2), 4)]), st.data())
+def test_hermitian_css_against_naive_relative_weights(spec, data):
+    """css_hermitian over GF(4) (n <= 6) and GF(9) (n <= 4), with C1 =
+    D^(perp h) for a random proper subcode D of C2 < GF(q^2)^n (a whole
+    C2 is always pure, so none is drawn): its raw pair is the
+    enumerated (wt(C2\\C1^(perp h)), wt(C1\\C2^(perp h))), and it is pure
+    iff that pair is (d(C2), d(C1)), else degenerate."""
+    (p, e), max_n = spec
+    f = build_field(p, e)
+    n = data.draw(st.integers(3, max_n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    c2 = LinearCode(f, rng.integers(0, f.order, (data.draw(
+        st.integers(2, n - 1)), n)))
+    assume(c2.k >= 2)
+    coef = rng.integers(0, f.order, (data.draw(st.integers(1, c2.k - 1)),
+                                     c2.k))
+    d = LinearCode(f, gflinalg.matmul(coef, c2.matrix, f))
+    assume(0 < d.k)
+    c1 = d.hermitian_dual()
+    rec = quantum.css_hermitian(c1, c2)
+    wa = naive_weight_outside_hdual(c2, c1)
+    wb = naive_weight_outside_hdual(c1, c2)
+    raw = rec.provenance["raw_pair"]
+    assert [(w["value"], w["exactness"]) for w in raw] == \
+        [(wa, "exact"), (wb, "exact")]
+    pure = (wa, wb) == (naive_distance(c2), naive_distance(c1))
+    assert rec.purity == ("pure" if pure else "degenerate")
 
 
 def test_enumeration_equals_naive_oracle():

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from qct import families, quantum
+from qct import families, lincode, quantum
 from qct.errors import CodeError, PreconditionError
 from qct.galois import build_field
 from qct.lincode import Bound, LinearCode, min_distance, relative_min_weight
@@ -110,6 +112,48 @@ def test_css_hermitian_boundary():
     assert (rec.n, rec.k, rec.q) == (2, 1, 2)
     assert {rec.dz.value, rec.dx.value} == {2, 1}
     assert rec.purity == "pure"
+
+
+def test_css_hermitian_degenerate_pair():
+    """C1 = <(1,a,0), e3> and C2 = <e1, e2> over GF(4): C1^(perp h) =
+    <(a^2,1,0)>, so the pair is wt(C2\\C1^(perp h)) = 1 and
+    wt(C1\\C2^(perp h)) = 2.  e3 in C2^(perp h) makes d(C1) = 1, so the
+    pair is not {d(C2), d(C1)} = {1, 1}."""
+    c1 = LinearCode(F4, np.array([[1, 2, 0], [0, 0, 1]], dtype=np.int64))
+    c2 = LinearCode(F4, np.eye(3, dtype=np.int64)[:2])
+    rec = quantum.css_hermitian(c1, c2)
+    assert rec.label() == "[[3,1,{2,1}]]_2"
+    assert rec.dz.kind == rec.dx.kind == "exact"
+    assert rec.purity == "degenerate"
+    assert [w["value"] for w in rec.provenance["raw_pair"]] == [1, 2]
+
+
+@pytest.mark.parametrize("q,n,s,label", [
+    (9, 8, 2, "[[8,6,{2,2}]]_9"), (9, 8, 4, "[[8,4,{3,3}]]_9"),
+    (9, 8, 6, "[[8,2,{4,4}]]_9"), (9, 4, 2, "[[4,2,{2,2}]]_9"),
+    (5, 4, 2, "[[4,2,{2,2}]]_5"), (13, 6, 2, "[[6,4,{2,2}]]_13"),
+    (13, 6, 4, "[[6,2,{3,3}]]_13")])
+def test_css_hermitian_negacyclic_records(q, n, s, label):
+    """css_hermitian(C_s, C_s) on Hermitian dual-containing negacyclic codes:
+    both relative weights exact (the BCH bound carried through conj), and
+    pure."""
+    c = families.negacyclic_cs(q, n, s)
+    rec = quantum.css_hermitian(c, c)
+    assert rec.label() == label
+    assert rec.dz.kind == rec.dx.kind == "exact"
+    assert rec.purity == "pure"
+
+
+def test_css_hermitian_refusals():
+    full = LinearCode(F4, np.eye(3, dtype=np.int64))
+    e1 = LinearCode(F4, np.array([[1, 0, 0]], dtype=np.int64))
+    e12 = LinearCode(F4, np.eye(3, dtype=np.int64)[:2])
+    e3 = LinearCode(F4, np.array([[0, 0, 1]], dtype=np.int64))
+    for c1, c2, message in ((full, full, "CSS needs proper nesting"),
+                            (e1, e1, "C1^(perp h) is not contained in C2"),
+                            (e12, e3, "derived dimension 0 is not positive")):
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            quantum.css_hermitian(c1, c2)
 
 
 def test_css_hermitian_requires_square_field():
@@ -263,6 +307,16 @@ def test_rs_direct_sum_aqc():
     rec = quantum.rs_direct_sum_aqc(4, 2, 1)
     assert (rec.n, rec.k) == (7, 2)
     assert rec.dz.kind == "exact"
+
+
+def test_formula_pair_in_provenance():
+    """The formula pair is recorded on the verified and the declared branch
+    of _formula_then_css."""
+    for cap, kind in ((lincode.DEFAULT_CAP, "exact"), (1, "declared")):
+        rec = quantum.rs_direct_sum_aqc(8, 3, 1, cap)
+        assert rec.provenance["formula_pair"] == [5, 2]
+        assert rec.dz.kind == kind
+        assert ("raw_pair" in rec.provenance) == (kind == "exact")
 
 
 def test_rs_direct_sum_swap_note():
