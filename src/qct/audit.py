@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
@@ -131,6 +130,9 @@ def _row(q: int, claim: tuple, candidates, detail: dict) -> AuditRow:
 
 def _map_rows(fn, rows, threads: int = 1):
     if threads > 1:
+        # imported here: concurrent.futures pulls in logging, which no
+        # single-threaded command needs
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, rows))
     return [fn(r) for r in rows]

@@ -4,32 +4,57 @@ Entries are content-addressed: the id is the SHA-256 hash of the canonical
 payload serialization, so putting the same record twice is a no-op.
 
 A sidecar index, `<catalog>.idx`, spares a load the parse of lines already
-checked.  It is only a cache.  Each of its lines is one batch: the rows (id,
-kind, byte range, search keys) of the catalog lines in bytes [from, to),
-the number of newlines before `to`, and the SHA-256 of the catalog's first
-`to` bytes.  The batches that chain from byte 0 are trusted only while that
-prefix still has the recorded hash, so any edit of a covered line makes the
-whole index stale.  A load parses the lines past the covered prefix and
-appends their batch; a missing, bad or stale index costs one full parse and
-is rebuilt.  `put` never touches the index, and a failure to write it is
+checked.  It is only a cache.  Each of its lines is one batch, three fields
+split by spaces: the SHA-256 of the rest of the line, a JSON header and the
+batch's rows in hex.  The header holds the byte range [from, to) of the
+catalog lines the batch covers, the number of newlines before `to`, and the
+SHA-256 of the catalog's first `to` bytes.  The rows are one fixed-width
+little-endian `ROW` record per line: the id as 32 bytes, the kind's place in
+KINDS, a state byte (_HAS_Q: the payload has a q key, even a null one;
+_HAS_FIELD: its field is an object), the line's byte range, and n, k, q, dz,
+dx and the field's p and e as int64, _NULL when null or absent.  So a line
+is valid only if its id is 64 lowercase hex digits, its kind is in KINDS,
+and each of those keys is null or an integer of magnitude below 2^63.  A
+load reads the rows with one `np.frombuffer`, and `search` filters them as
+columns.
+
+The batches that chain from byte 0 are trusted only while that prefix still
+has the recorded hash, so any edit of a covered line makes the whole index
+stale.  A load parses the lines past the covered prefix and appends their
+batch; a missing, bad or stale index costs one full parse and is rebuilt.
+An index in an older format, such as JSON rows, is bad in that sense and is
+rebuilt once.  `put` never touches the index, and a failure to write it is
 ignored.
 """
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timezone
 
+import numpy as np
+
 from .errors import FieldError, QctError
-from .galois import _is_int, prime_power
+from .galois import prime_power
 
 DEFAULT_PATH = "qct_catalog.jsonl"
 
 KINDS = ("classical", "quantum", "report")
 SEARCH_KEYS = ("n", "k", "q", "dz", "dx")   # integer or null in a payload
+
+_KEY_LIMIT = 1 << 63   # a key is null or an integer of smaller magnitude
+_NULL = -_KEY_LIMIT   # a null or absent key in a row
+_KEY_NAMES = SEARCH_KEYS + ("field.p", "field.e")
+_ID = re.compile("[0-9a-f]{64}")
+_HAS_Q, _HAS_FIELD = 1, 2   # bits of a row's state byte
+ROW = np.dtype([("id", "V32"), ("kind", "u1"), ("state", "u1"),
+                ("start", "<i8"), ("end", "<i8"),
+                *((key, "<i8") for key in SEARCH_KEYS + ("p", "e"))])
 
 
 def payload_id(payload: dict) -> str:
@@ -56,7 +81,7 @@ class Catalog:
     def __init__(self, path: str = DEFAULT_PATH):
         self.path = path
         self.index_path = path + ".idx"
-        self._rows = {}    # id -> its row (see _row), in file order
+        self._rows = np.empty(0, ROW)   # one per loaded id, in file order
         self._added = {}   # id -> CatalogEntry put through this object
         self.skipped_tail = None   # line number of a cut-short last line
         self._at_line_start = True
@@ -76,7 +101,8 @@ class Catalog:
                     self._at_line_start = prefix[-1:] in (b"", b"\n")
                 if index is None or (len(prefix) != covered
                                      or digest.hexdigest() != sha):
-                    covered, lines, old_rows, append = 0, 0, [], False
+                    covered, lines, append = 0, 0, False
+                    old_rows = np.empty(0, ROW)
                     digest = hashlib.sha256()
                     fh.seek(0)
                 new_rows, end, newlines = self._scan(fh, covered, lines + 1,
@@ -85,12 +111,13 @@ class Catalog:
             return
         except OSError as exc:
             raise QctError(f"cannot read catalog {self.path}: {exc}")
-        self._rows = {row[0]: row for row in old_rows + new_rows}
+        rows = np.concatenate([old_rows, new_rows])
+        self._rows = _one_row_per_id(rows)
         if end > covered:
-            batch = {"from": covered if append else 0, "to": end,
-                     "lines": lines + newlines, "sha256": digest.hexdigest(),
-                     "rows": new_rows if append else old_rows + new_rows}
-            _write_index(self.index_path, batch, append)
+            header = {"from": covered if append else 0, "to": end,
+                      "lines": lines + newlines, "sha256": digest.hexdigest()}
+            _write_index(self.index_path, header,
+                         new_rows if append else rows, append)
 
     def _scan(self, fh, offset: int, number: int, digest):
         """Parse the lines from `fh`'s position, byte `offset` and line
@@ -104,7 +131,7 @@ class Catalog:
             end = offset + len(line)
             if line.strip():
                 try:
-                    entry = _parse(line)
+                    entry, values = _parse(line)
                 except (ValueError, KeyError, TypeError) as exc:
                     if line.endswith(b"\n"):
                         raise QctError(f"cannot read catalog {self.path}: "
@@ -112,26 +139,47 @@ class Catalog:
                     self.skipped_tail = number
                     self._at_line_start = False
                     break
-                rows.append(_row(entry, offset, end))
+                rows.append(_row(entry, offset, end, values))
             digest.update(line)
             self._at_line_start = line.endswith(b"\n")
             newlines += self._at_line_start
             offset = end
-        return rows, offset, newlines
+        return np.array(rows, ROW), offset, newlines
 
-    def _read(self, eids) -> list:
-        """The entries of `eids`: each stored line is parsed from its byte
+    def _find(self, eid) -> np.ndarray:
+        """The loaded row of `eid`, as an array of at most one row."""
+        if not _is_id(eid):
+            return self._rows[:0]
+        return self._rows[self._rows["id"] == np.void(bytes.fromhex(eid))]
+
+    def _has(self, eid) -> bool:
+        return eid in self._added or len(self._find(eid)) > 0
+
+    def _all_rows(self) -> np.ndarray:
+        """The loaded rows, then those of the entries put through this
+        object; put itself never copies the loaded rows."""
+        if not self._added:
+            return self._rows
+        return np.concatenate([self._rows, np.array(
+            [_row(entry, -1, -1, _key_values(entry.payload))
+             for entry in self._added.values()], ROW)])
+
+    def _read(self, rows) -> list:
+        """The entries of `rows`: each stored line is parsed from its byte
         range, and must hold the entry it is indexed under."""
+        ids = rows["id"].tobytes().hex()
+        eids = [ids[i:i + 64] for i in range(0, len(ids), 64)]
         found = {e: self._added[e] for e in eids if e in self._added}
-        todo = [e for e in eids if e not in found]
+        todo = [(eid, start, end) for eid, start, end
+                in zip(eids, rows["start"].tolist(), rows["end"].tolist())
+                if eid not in found]
         if todo:
             try:
                 with open(self.path, "rb") as fh:
-                    for eid in todo:
-                        start, end = self._rows[eid][2:4]
+                    for eid, start, end in todo:
                         fh.seek(start)
                         try:
-                            entry = _parse(fh.read(end - start))
+                            entry = _parse(fh.read(end - start))[0]
                             why = (None if entry.id == eid
                                    else f"no longer holds entry {eid}")
                         except (ValueError, KeyError, TypeError) as exc:
@@ -152,16 +200,16 @@ class Catalog:
         if not isinstance(payload, dict):
             raise QctError("catalog payload must be a JSON object, not "
                            f"{type(payload).__name__}")
-        bad = _bad_search_key(payload)
-        if bad:
-            raise QctError(f"catalog payload key {bad!r} must be an integer "
-                           f"or null, not {payload[bad]!r}")
+        try:
+            _key_values(payload)
+        except TypeError as exc:
+            raise QctError(f"catalog {exc}")
         inputs = list(inputs)
         for ref in inputs:
-            if ref not in self._rows:
+            if not self._has(ref):
                 raise QctError(f"input id {ref} not found in catalog")
         eid = payload_id(payload)
-        if eid in self._rows:
+        if self._has(eid):
             return self.get(eid)
         entry = CatalogEntry(eid, kind, payload,
                              datetime.now(timezone.utc).isoformat(), inputs)
@@ -184,120 +232,157 @@ class Catalog:
                            f"{written} of {len(data)} bytes")
         self._at_line_start = True
         self._added[eid] = entry
-        self._rows[eid] = _row(entry, None, None)
         return entry
 
     def get(self, eid: str) -> CatalogEntry:
-        if eid not in self._rows:
+        if eid in self._added:
+            return self._added[eid]
+        row = self._find(eid)
+        if not len(row):
             raise QctError(f"id {eid} not found in catalog {self.path}")
-        return self._read([eid])[0]
+        return self._read(row)[0]
 
     def list(self, kind: str | None = None):
-        eids = [eid for eid, row in self._rows.items()
-                if kind is None or row[1] == kind]
-        return sorted(self._read(eids), key=lambda e: e.created)
+        rows = self._all_rows()
+        if kind is not None:
+            rows = rows[rows["kind"] == (KINDS.index(kind) if kind in KINDS
+                                         else len(KINDS))]
+        return sorted(self._read(rows), key=lambda e: e.created)
 
     def search(self, n=None, k=None, q=None, dz_min=None, dx_min=None):
         """Match quantum/classical payloads on parameters.  A classical
         payload matches q on its field record's (p, e), with no p ** e.
-        Only the index rows are filtered; only the hits are parsed."""
-        try:
-            pe = None if q is None else list(prime_power(q))
-        except FieldError:
-            pe = None
-        hits = []
-        for eid, _, _, _, rn, rk, rq, rdz, rdx, rpe in self._rows.values():
-            if n is not None and rn != n:
-                continue
-            if k is not None and rk != k:
-                continue
-            if q is not None and (rq[0] != q if rq is not None
-                                  else pe is None or rpe != pe):
-                continue
-            if not (_at_least(rdz, dz_min) and _at_least(rdx, dx_min)):
-                continue
-            hits.append(eid)
-        return sorted(self._read(hits), key=lambda e: e.created)
+        The index rows are filtered as columns; only the hits are parsed."""
+        rows = self._all_rows()
+        hit = np.ones(len(rows), dtype=bool)
+        for key, value in (("n", n), ("k", k)):
+            if value is not None:
+                hit &= _equal(rows[key], value)
+        if q is not None:
+            try:
+                p, e = prime_power(q)
+                on_field = ((rows["state"] & _HAS_FIELD != 0)
+                            & _equal(rows["p"], p) & _equal(rows["e"], e))
+            except FieldError:
+                on_field = False
+            hit &= np.where(rows["state"] & _HAS_Q != 0,
+                            _equal(rows["q"], q), on_field)
+        for key, floor in (("dz", dz_min), ("dx", dx_min)):
+            if floor is not None:   # a null or missing value counts as 0
+                hit &= np.where(rows[key] == _NULL, 0, rows[key]) >= floor
+        return sorted(self._read(rows[hit]), key=lambda e: e.created)
 
 
-def _parse(line: bytes) -> CatalogEntry:
+def _is_id(eid) -> bool:
+    """Whether `eid` has the form payload_id gives: 64 lowercase hex digits."""
+    return isinstance(eid, str) and _ID.fullmatch(eid) is not None
+
+
+def _parse(line: bytes):
+    """The entry on a catalog line and its _key_values.  A line that holds
+    no valid entry raises ValueError, KeyError or TypeError."""
     rec = json.loads(line.decode())
     entry = CatalogEntry(rec["id"], rec["kind"], rec["payload"],
                          rec["created"], rec.get("inputs", []))
+    if not _is_id(entry.id):
+        raise ValueError("id is not 64 lowercase hex digits")
+    if entry.kind not in KINDS:
+        raise ValueError(f"unknown kind {entry.kind!r}")
     if not isinstance(entry.payload, dict):
         raise TypeError("payload is not a JSON object")
-    bad = _bad_search_key(entry.payload)
-    if bad:
-        raise TypeError(f"payload key {bad!r} is not an integer or null")
     if not isinstance(entry.created, str):
         raise TypeError("created is not a string")
-    return entry
+    return entry, _key_values(entry.payload)
 
 
-def _bad_search_key(payload: dict):
-    """The first of the keys `search` compares that holds neither an
-    integer nor null, or None."""
-    for key in SEARCH_KEYS:
-        if payload.get(key) is not None and not _is_int(payload[key]):
-            return key
-    return None
+def _key_values(payload: dict) -> list:
+    """What `search` compares of a payload, in _KEY_NAMES order: n, k, q,
+    dz, dx and its field's p and e, _NULL where null, absent or the field
+    is not an object.  A value that is neither null nor an int (not a
+    bool) of magnitude below 2^63 raises TypeError naming its key."""
+    field = payload.get("field")
+    values = [*map(payload.get, SEARCH_KEYS),
+              *(map(field.get, ("p", "e")) if isinstance(field, dict)
+                else (None, None))]
+    for i, value in enumerate(values):
+        if value is None:
+            values[i] = _NULL
+        elif type(value) is not int or not -_KEY_LIMIT < value < _KEY_LIMIT:
+            raise TypeError(f"payload key {_KEY_NAMES[i]!r} must be an "
+                            f"integer of magnitude below 2^63 or null, not "
+                            f"{value!r}")
+    return values
 
 
-def _at_least(value, floor) -> bool:
-    """`search`'s minimum test: a missing value counts as 0, and a value
-    that is not an integer (from an index older than the key checks) never
-    passes."""
-    value = 0 if value is None else value
-    return floor is None or (_is_int(value) and value >= floor)
+def _equal(column: np.ndarray, value) -> np.ndarray:
+    """The rows whose key equals `value`; a null or absent key equals
+    nothing."""
+    return (column == value) & (column != _NULL)
 
 
-def _row(entry: CatalogEntry, start, end) -> list:
-    """An entry's index row: id, kind, the byte range of its line, and what
-    `search` reads of the payload.  That is n, k, [q] (None when the payload
-    has no q), dz, dx, and [p, e] of a field record (None without one)."""
+def _row(entry: CatalogEntry, start: int, end: int, values: list) -> tuple:
+    """An entry's index row, a ROW record: id, kind, state, the byte range
+    of its line and its _key_values."""
     p = entry.payload
-    field = p.get("field")
-    return [entry.id, entry.kind, start, end, p.get("n"), p.get("k"),
-            [p["q"]] if "q" in p else None, p.get("dz"), p.get("dx"),
-            [field.get("p"), field.get("e")] if isinstance(field, dict)
-            else None]
+    return (bytes.fromhex(entry.id), KINDS.index(entry.kind),
+            _HAS_Q * ("q" in p) | _HAS_FIELD * isinstance(p.get("field"), dict),
+            start, end, *values)
+
+
+def _one_row_per_id(rows: np.ndarray) -> np.ndarray:
+    """Each id once, at the place of its first line with the row of its
+    last line, as a dict keyed by id would keep them.  Ids whose first 8
+    bytes all differ are all distinct, so that case costs one sort."""
+    head = np.sort(np.frombuffer(rows["id"].tobytes(), "<u8")[::4])
+    if not (head[1:] == head[:-1]).any():
+        return rows
+    last = {}
+    for i, eid in enumerate(rows["id"].tolist()):
+        last[eid] = i
+    return rows[list(last.values())]
 
 
 def _read_index(path: str):
     """The part of the index at `path` that chains from byte 0, as (covered,
-    newlines, rows, sha256, appendable), or None when there is none.  Each
-    line is a batch's JSON text after its own SHA-256, so a line that fails
-    its checksum voids the whole index.  A last line with no newline is a
-    write cut short and is dropped.  Batches are taken while each starts
-    where the last one taken ends.  The index may be appended to only if it
-    ends with the last batch taken."""
+    newlines, rows, sha256, appendable), or None when there is none.
+    Each line is checked against its own SHA-256, so a line that fails its
+    checksum, or does not hold a header and rows, voids the whole index.  A
+    last line with no newline is a write cut short and is dropped.  Batches
+    are taken while each starts where the last one taken ends.  The index
+    may be appended to only if it ends with the last batch taken."""
     try:
         with open(path, "rb") as fh:
-            lines = fh.read().split(b"\n")
-        cut = lines.pop()
-        for line in lines:
-            if hashlib.sha256(line[65:]).hexdigest().encode() != line[:64]:
+            data = fh.read()
+        view = memoryview(data)   # slices of it are not copies
+        batches, at = [], 0
+        while (end := data.find(b"\n", at)) >= 0:
+            gap = data.index(b" ", at + 65, end)   # header, then rows
+            if hashlib.sha256(view[at + 65:end]).hexdigest().encode() \
+                    != data[at:at + 64]:
                 raise ValueError("index line fails its checksum")
-        batches = json.loads(b"[" + b",".join(line[65:] for line in lines)
-                             + b"]")
-        covered, newlines, rows, sha, last = 0, 0, [], None, None
-        for i, batch in enumerate(batches):
+            batches.append((json.loads(data[at + 65:gap]), view[gap + 1:end]))
+            at = end + 1
+        covered, newlines, parts, sha, last = 0, 0, [], None, None
+        for i, (batch, hexrows) in enumerate(batches):
             to = batch["to"]
             if batch["from"] != covered or not covered <= to:
                 continue
-            rows += batch["rows"]
+            parts.append(binascii.unhexlify(hexrows))
             covered, newlines, sha, last = to, batch["lines"], \
                 batch["sha256"], i
+        rows = np.frombuffer(b"".join(parts), ROW)
     except (OSError, ValueError, TypeError, KeyError):
         return None
     if last is None:
         return None
-    return covered, newlines, rows, sha, not cut and last == len(batches) - 1
+    return covered, newlines, rows, sha, at == len(data) and \
+        last == len(batches) - 1
 
 
-def _write_index(path: str, batch: dict, append: bool):
+def _write_index(path: str, header: dict, rows: np.ndarray, append: bool):
     """Append one batch, or rewrite the index as that one batch."""
-    text = json.dumps(batch, separators=(",", ":")).encode()
+    text = (json.dumps(header, separators=(",", ":")).encode() + b" "
+            + binascii.hexlify(rows.tobytes()))
     data = hashlib.sha256(text).hexdigest().encode() + b" " + text + b"\n"
     try:
         with open(path, "ab" if append else "wb") as fh:

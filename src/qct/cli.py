@@ -19,8 +19,9 @@ from .galois import (build_field, field_from_q, find_dual_basis,
 from .lincode import DEFAULT_CAP, min_distance
 
 
-def _echo_json(obj):
-    click.echo(json.dumps(obj, sort_keys=True))
+def _echo_json(*objs):
+    """One JSON line per object, in one write."""
+    click.echo("\n".join(json.dumps(obj, sort_keys=True) for obj in objs))
 
 
 def _parse_element(token: str, field) -> int:
@@ -458,8 +459,8 @@ def catalog_list(ctx, kind):
 def catalog_search(ctx, n, k, q, dz_min, dx_min):
     hits = _open_catalog(ctx).search(n=n, k=k, q=q, dz_min=dz_min,
                                      dx_min=dx_min)
-    for entry in hits:
-        _echo_json(entry.to_json())
+    if hits:
+        _echo_json(*(entry.to_json() for entry in hits))
 
 
 def run_cli(argv=None) -> int:

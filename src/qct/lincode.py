@@ -81,6 +81,9 @@ DEFAULT_CAP = 1 << 24
 _TABLE_BYTES = 1 << 18   # low-row combination table of _enumerate
 _SEARCH_SETS = 16        # information sets tried by _witness_search
 _SEARCH_BYTES = 1 << 18  # candidate block of _witness_search
+# int64 digits of every c.R_j that _witness_search may ask _digit_planes
+# for; about twice that is live while they are packed
+_SEARCH_ROWS_BUDGET = 1 << 29
 _MDS_SUBSETS = 1_000_000  # column subsets is_mds may check
 # words _enumerate may visit: at 1.6-7.5 ns/word in characteristic 2 and
 # 17-92 ns/word for odd p (2-core Xeon VM), 2^33 words take 14 s to 1 min
@@ -466,12 +469,19 @@ def _witness_search(code: LinearCode, exclude: LinearCode | None,
     kernel's _weights; flattened, a block lists the candidates in the
     order (i, then 0, then c.R_j by c and j).  The search stops once its
     weight reaches `target`.  Returns (weight, word), the word in the
-    code's own coordinates."""
+    code's own coordinates.  Rows whose int64 digits would take more than
+    _SEARCH_ROWS_BUDGET bytes raise SearchCapExceeded before any set."""
     f = code.field
     n = code.n
     syn = None if exclude is None else exclude.parity_check().T
     wc = -(-n // 64) if f.p == 2 else n
     add = _plane_adder(f.p)
+    width = n if syn is None else n + syn.shape[1]
+    need = (f.order - 1) * code.k * f.e * width * 8
+    if need > _SEARCH_ROWS_BUDGET:
+        raise SearchCapExceeded(
+            f"witness search in {code!r}: the candidate rows take {need} "
+            f"bytes, over the budget {_SEARCH_ROWS_BUDGET}")
     rng = random.Random(0)
     perm = list(range(n))
     best_w, best = n + 1, None

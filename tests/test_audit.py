@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -134,6 +137,19 @@ def test_threaded_matches_serial():
     threaded = audit.audit_table("table4", threads=4)
     assert [r.to_json() for r in serial.rows] == \
         [r.to_json() for r in threaded.rows]
+
+
+def test_thread_pool_is_imported_only_when_used():
+    """concurrent.futures (and the logging it pulls in) stays out of the
+    import of qct's entry modules; only a threaded audit loads it."""
+    import qct
+    src = os.path.dirname(os.path.dirname(qct.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, qct.cli, qct.audit, qct.quantum; "
+            "sys.exit('concurrent.futures' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0
 
 
 # Every audit row's status, frozen; table2 rows add the off-by-one reading's

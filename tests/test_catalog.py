@@ -77,27 +77,6 @@ def test_put_refuses_non_integer_search_keys(tmp_path, key, value):
     assert len(cat.search()) == 1
 
 
-def test_search_skips_non_integer_keys_of_an_older_index(tmp_path,
-                                                         monkeypatch):
-    """An index written while a payload could still hold a non-integer dz
-    or dx: the load trusts it, and search leaves those rows out of its
-    minimum tests without comparing them."""
-    path = tmp_path / "cat.jsonl"
-    monkeypatch.setattr(catalog, "_bad_search_key", lambda payload: None)
-    cat = Catalog(str(path))
-    good = cat.put("quantum", {"n": 7, "dz": 3, "dx": 2})
-    cat.put("quantum", {"n": 7, "dz": "x", "dx": [2]})
-    Catalog(str(path))
-    monkeypatch.undo()
-    calls = _count_parses(monkeypatch)
-    cat = Catalog(str(path))
-    assert calls == []
-    assert [e.id for e in cat.search(dz_min=2)] == [good.id]
-    assert [e.id for e in cat.search(n=7, dx_min=1)] == [good.id]
-    with pytest.raises(QctError, match="payload key 'dz'"):
-        cat.search(n=7)   # a hit is parsed, and its line checked
-
-
 def test_corrupt_file_surfaced_with_path(tmp_path):
     path = tmp_path / "cat.jsonl"
     path.write_text("not json\n")
@@ -179,6 +158,14 @@ def _store(path, count, seed=0):
     return cat
 
 
+def _line(kind, payload, day, eid=None):
+    """A catalog line as put writes it, created on 2026-01-<day>."""
+    return json.dumps({"id": eid or payload_id(payload), "kind": kind,
+                       "payload": payload, "inputs": [],
+                       "created": f"2026-01-{day:02d}T00:00:00+00:00"},
+                      sort_keys=True).encode() + b"\n"
+
+
 STORED = json.dumps({"id": "a" * 64, "kind": "quantum", "payload": {"n": 7},
                      "created": "2026-01-01T00:00:00+00:00",
                      "inputs": []}).encode()
@@ -205,7 +192,7 @@ def test_index_spares_parsing(tmp_path, monkeypatch):
     calls = _count_parses(monkeypatch)
     cat = Catalog(str(path))
     assert calls == [] and _index(path).read_bytes() == built
-    eid = next(iter(cat._rows))
+    eid = json.loads(path.read_bytes().split(b"\n")[0])["id"]
     assert cat.get(eid).id == eid and len(calls) == 1
     hits = cat.search(n=7, dz_min=4)
     assert hits and len(calls) == 1 + len(hits)
@@ -247,13 +234,17 @@ def test_bad_index_falls_back_to_a_full_parse(tmp_path, damage):
     Catalog(str(path))
     idx = _index(path)
     good = idx.read_bytes()
+    # the only batch's rows: the hex after the line's last space
+    rows_at = good.rindex(b" ") + 1
     if damage == "garbage":
         idx.write_bytes(b"\x00garbage\n[1, 2]\n")
-    elif damage == "cut_row":   # the last row of the only batch cut short
-        idx.write_bytes(good[:good.rindex(b"],[") + 10])
-    elif damage == "flipped_row":   # a row's offset changed, same length
-        at = good.index(b'",0,') + 2
-        idx.write_bytes(good[:at] + b"1" + good[at + 1:])
+    elif damage == "cut_row":   # cut short inside the last row
+        idx.write_bytes(good[:-1 - catalog.ROW.itemsize])
+    elif damage == "flipped_row":   # one byte of row 1's offset, same length
+        at = rows_at + 2 * (catalog.ROW.itemsize + catalog.ROW.fields[
+            "start"][1])
+        assert good[at:at + 2] != b"00"
+        idx.write_bytes(good[:at] + b"00" + good[at + 2:])
     else:   # an index that can be neither read nor written
         idx.unlink()
         idx.mkdir()
@@ -338,20 +329,59 @@ def _old_search(entries, n=None, k=None, q=None, dz_min=None, dx_min=None):
     return hits
 
 
+MAX = (1 << 63) - 1   # the largest key magnitude a row holds
+
+# payloads at the edges of a row: q null against q absent over the same
+# field record, a field record with a null p, and keys of magnitude MAX
+EDGE_PAYLOADS = [
+    {"n": 7, "k": 2, "q": None, "field": {"p": 2, "e": 1}},
+    {"n": 7, "k": 2, "field": {"p": 2, "e": 1}},
+    {"n": 7, "k": 5, "field": {"p": None, "e": 1}, "dz": 4},
+    {"n": MAX, "k": -MAX, "q": 4, "dz": MAX, "dx": -MAX},
+    {"n": -MAX, "q": -MAX, "dz": -MAX, "dx": MAX},
+]
+
+
+def _with_kind(line, kind):
+    """The same entry, id and created time under another kind."""
+    rec = json.loads(line)
+    rec["kind"] = kind
+    return json.dumps(rec, sort_keys=True).encode() + b"\n"
+
+
 def test_index_states_give_identical_answers(tmp_path):
     path = tmp_path / "cat.jsonl"
-    _store(path, 60, seed=11)
+    cat = _store(path, 60, seed=11)
+    for i, payload in enumerate(EDGE_PAYLOADS):
+        cat.put(KINDS[i % 3], payload)
     Catalog(str(path))
-    _store(path, 60, seed=12)   # now the index covers only the first half
+    cat = _store(path, 60, seed=12)   # the index covers the first half
+    for i, payload in enumerate(EDGE_PAYLOADS):
+        cat.put(KINDS[i % 3], dict(payload, index=i))
+    lines = path.read_bytes().splitlines(keepends=True)
+    with open(path, "ab") as fh:   # ids seen twice, in and past the index
+        fh.write(_with_kind(lines[3], "report") + lines[70]
+                 + _with_kind(lines[62], "quantum"))
     rng = random.Random(5)
     queries = [dict(n=rng.choice((None, 7, 15, 31)),
                     k=rng.choice((None, 2, 5)),
                     q=rng.choice((None, 2, 3, 4, 6, 8, 9)),
                     dz_min=rng.choice((None, 3, 6)),
                     dx_min=rng.choice((None, 2, 5))) for _ in range(40)]
+    queries += [dict(n=MAX), dict(n=-MAX, q=-MAX), dict(k=-MAX, q=4),
+                dict(n=MAX + 1), dict(k=-MAX - 1), dict(q=-MAX - 1),
+                dict(q=2, k=2), dict(q=2, n=7, dz_min=4), dict(dz_min=MAX),
+                dict(dz_min=-MAX), dict(dx_min=MAX + 1),
+                dict(dx_min=-MAX - 1, n=7)]
+    # a dict keyed by id: each id at its first line, with its last line
+    want = {}
+    for line in path.read_bytes().splitlines():
+        want[json.loads(line)["id"]] = json.loads(line)
+    want = sorted(want.values(), key=lambda rec: rec["created"])
 
     def answers(cat):
         everything = cat.list()
+        assert [e.to_json() for e in everything] == want
         searches = [[e.to_json() for e in cat.search(**query)]
                     for query in queries]
         for query, got in zip(queries, searches):
@@ -367,6 +397,115 @@ def test_index_states_give_identical_answers(tmp_path):
     missing = answers(Catalog(str(path)))
     assert stale == present == missing
     assert sum(map(len, stale[2])) > 40
+    # the fixed queries: MAX keys match, keys past MAX (-2^63 among them,
+    # a row's null) match nothing, and a floor of -MAX passes every entry,
+    # 130 after the 3 repeated ids
+    assert [len(hits) for hits in stale[2][40:]] == [2, 2, 2, 0, 0, 0, 6, 6,
+                                                      2, 130, 0, 50]
+
+
+@pytest.mark.parametrize("kind,payload,eid,put_error,line_error", [
+    ("quantum", {"n": 1 << 63}, None, "key 'n' must be an integer",
+     "payload key 'n'"),
+    ("quantum", {"dz": -(1 << 63)}, None, "key 'dz' must be an integer",
+     "payload key 'dz'"),
+    ("classical", {"field": {"p": 1 << 63, "e": 1}}, None,
+     "key 'field.p' must be an integer", "payload key 'field.p'"),
+    ("classical", {"field": {"p": 2, "e": "1"}}, None,
+     "key 'field.e' must be an integer", "payload key 'field.e'"),
+    ("code", {"n": 7}, None, "unknown catalog kind 'code'",
+     "unknown kind 'code'"),
+    ("quantum", {"n": 7}, "A" * 64, None, "id is not 64 lowercase hex"),
+    ("quantum", {"n": 7}, "xyz", None, "id is not 64 lowercase hex"),
+], ids=["n-2^63", "dz-minus-2^63", "field-p-2^63", "field-e-text",
+        "unknown-kind", "upper-case-id", "short-id"])
+def test_what_a_row_cannot_hold_is_refused(tmp_path, kind, payload, eid,
+                                           put_error, line_error):
+    """A key no int64 row holds exactly, an unknown kind or an id not of
+    payload_id's form: put refuses it, and a line holding it is a bad line,
+    past an index as without one."""
+    path = tmp_path / "cat.jsonl"
+    cat = Catalog(str(path))
+    cat.put("quantum", {"n": 7, "k": 1})
+    if put_error:
+        with pytest.raises(QctError, match=put_error):
+            cat.put(kind, payload)
+    Catalog(str(path))   # an index of the good line
+    with open(path, "ab") as fh:
+        fh.write(_line(kind, payload, 2, eid))
+    with pytest.raises(QctError, match=f"line 2: {line_error}"):
+        Catalog(str(path))
+    _index(path).unlink()
+    with pytest.raises(QctError, match=f"line 2: {line_error}"):
+        Catalog(str(path))
+
+
+# An index written before rows were binary, by the line format then: the
+# SHA-256 of the rest of the line, then the batch with its rows as JSON
+# lists.  It covers the five lines of OLD_STORE.
+OLD_JSON_INDEX = (
+    b'a4317c4ee9088ace3c87438f5850e13c784cbe1ef7aff6d0172c975002449714 '
+    b'{"from":0,"to":987,"lines":5,"sha256":"aa3ef4af533f22cbab2815ebe3534a9'
+    b'95b1092d6c26c8186bc750728dfbddb9b","rows":[["b6805811232e2beb0bb50ffbe3'
+    b'0a43952f8c25b3a159d7f093dfee806c6b6ff9","quantum",0,203,7,1,[2],3,3,nul'
+    b'l],["d208026d3a5514d70177678ede581547243c02e8b9f3c9cc01ad358826bb5aa2",'
+    b'"quantum",203,400,7,1,[null],5,null,null],["e7d6e5db5a321926b71942cc53'
+    b'986ad72b581a2ae5201f8212048c0e2f8f7bac","classical",400,606,7,4,null,nu'
+    b'll,null,[2,1]],["9e14c9da48b202489410ed24b3152d4992fdf0df84f8edd87c37b6'
+    b'722fe58ecb","classical",606,815,7,2,null,null,null,[null,1]],["1633902c'
+    b'6cbba5e7770dbed172df754a25078bb76efe1f23474edc87f1a47655","report",815,'
+    b'987,null,null,null,null,null,null]]}\n')
+OLD_STORE = [("quantum", {"n": 7, "k": 1, "q": 2, "dz": 3, "dx": 3}),
+             ("quantum", {"n": 7, "k": 1, "q": None, "dz": 5}),
+             ("classical", {"n": 7, "k": 4, "field": {"p": 2, "e": 1}}),
+             ("classical", {"n": 7, "k": 2, "field": {"p": None, "e": 1}}),
+             ("report", {"rows": []})]
+# the same format over a dz that is not an integer, from before put and the
+# load refused one
+OLD_NON_INTEGER_INDEX = (
+    b'27f24b29152048314828ee520d2cc932bacec4929b8e5b869a38ef36b1ab6efa '
+    b'{"from":0,"to":378,"lines":2,"sha256":"e09662570eecbb6e50f24d7f1840273'
+    b'e6c13ca179050c817d1d8a9f042914387","rows":[["007f6459e5dcbba97a90a4f210'
+    b'be87c4e9bf1daf845584b3ae0cb8158fe6f988","quantum",0,187,7,null,null,3,2'
+    b',null],["9efd74d8b5fa84b3ba354a0202b865103d48528ec3e026bfaa85b3de64ba49'
+    b'ee","quantum",187,378,7,null,null,"x",[2],null]]}\n')
+
+
+def test_old_json_index_is_rebuilt_once(tmp_path, monkeypatch):
+    path = tmp_path / "cat.jsonl"
+    path.write_bytes(b"".join(_line(kind, payload, day) for day, (kind, payload)
+                              in enumerate(OLD_STORE, 1)))
+    queries = [dict(), dict(q=2), dict(n=7, k=1), dict(q=2, dz_min=3),
+               dict(dx_min=3), dict(k=2, q=2)]
+
+    def answers():
+        cat = Catalog(str(path))
+        return ([e.to_json() for e in cat.list()],
+                [[e.id for e in cat.search(**query)] for query in queries])
+
+    want = answers()   # no index
+    assert [len(ids) for ids in want[1]] == [5, 2, 2, 1, 1, 0]
+    _index(path).write_bytes(OLD_JSON_INDEX)
+    calls = _count_parses(monkeypatch)
+    assert answers() == want
+    assert len(calls) == 5 + 5 + 11   # the rebuild, list() and the hits
+    rebuilt = _index(path).read_bytes()
+    assert rebuilt != OLD_JSON_INDEX and len(rebuilt.splitlines()) == 1
+    calls.clear()
+    assert answers() == want and len(calls) == 5 + 11
+    assert _index(path).read_bytes() == rebuilt
+
+
+def test_non_integer_keys_under_an_older_index_are_a_bad_line(tmp_path):
+    """A store written while a payload could still hold a non-integer dz or
+    dx, with its JSON-row index of that time: the index is not read, so the
+    full parse refuses the line; no such key reaches a comparison."""
+    path = tmp_path / "cat.jsonl"
+    path.write_bytes(_line("quantum", {"n": 7, "dz": 3, "dx": 2}, 1)
+                     + _line("quantum", {"n": 7, "dz": "x", "dx": [2]}, 2))
+    _index(path).write_bytes(OLD_NON_INTEGER_INDEX)
+    with pytest.raises(QctError, match="line 2: payload key 'dz'"):
+        Catalog(str(path))
 
 
 def test_get_checks_the_id_of_the_line_it_parses(tmp_path):

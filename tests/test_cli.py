@@ -199,8 +199,13 @@ def test_quantum_and_code_commands(code_files, capsys, args, code, line):
     pytest.param("code distance zero.json", None, 1,
                  "generator matrix must be a non-empty",
                  id="distance-1-rank-0"),
-    pytest.param("--cap 1152921504606846976 code distance ham.json", 15, 1,
-                 "up to 16 words, over the budget 15", id="distance-1-budget"),
+    pytest.param("--cap 1152921504606846976 code distance ham.json",
+                 {"_WALK_BUDGET": 15}, 1, "up to 16 words, over the budget 15",
+                 id="distance-1-budget"),
+    pytest.param("--cap 1 code distance ham.json",
+                 {"_SEARCH_ROWS_BUDGET": 223}, 1,
+                 "the candidate rows take 224 bytes, over the budget 223",
+                 id="distance-1-search-budget"),
     pytest.param("code distance", None, 2, "Missing argument 'SOURCE'",
                  id="distance-2"),
     pytest.param("code dual ham.json", None, 0, None, id="dual-0"),
@@ -227,10 +232,11 @@ def test_distance_dual_expand_exit_codes(code_files, monkeypatch, capsys, args,
                                          budget, code, message):
     """One row per documented exit code of `code distance`, `dual` and
     `expand`: exit 0 writes nothing to stderr, exit 1 and 2 one line.  The
-    budget row lowers the enumeration walk budget to 15 words, below the 16
-    of the [7,4]_2 walk that --cap 2^60 admits."""
-    if budget is not None:
-        monkeypatch.setattr(lincode, "_WALK_BUDGET", budget)
+    budget rows lower a lincode budget: the enumeration walk's to 15 words,
+    below the 16 of the [7,4]_2 walk that --cap 2^60 admits, and the witness
+    search's to 223 bytes, below the 224 of its [7,4]_2 rows at --cap 1."""
+    for name, value in (budget or {}).items():
+        monkeypatch.setattr(lincode, name, value)
     assert run_cli(args.split()) == code
     out, err = capsys.readouterr()
     if message is None:

@@ -202,6 +202,28 @@ def test_walk_over_budget_raises_before_the_table(monkeypatch):
         relative_min_weight(code, LinearCode(F2, HAMMING[:1]))
 
 
+def test_witness_search_over_budget_raises_before_the_rows(monkeypatch):
+    """A witness search whose c.R_j digits would take more int64 bytes than
+    _SEARCH_ROWS_BUDGET raises SearchCapExceeded before _digit_planes; at
+    the budget it runs.  For the [7,4]_2 code that is 1 * 4 * 1 * 7 * 8 =
+    224 bytes, and 1 * 4 * 1 * (7 + 6) * 8 = 416 with the syndrome columns
+    of a [7,1] inner code."""
+    monkeypatch.setattr(lincode, "_SEARCH_ROWS_BUDGET", 224)
+    assert min_distance(hamming(), cap=1).upper == 3
+    monkeypatch.setattr(lincode, "_SEARCH_ROWS_BUDGET", 223)
+
+    def no_planes(*args):
+        raise AssertionError("digit planes built")
+    monkeypatch.setattr(lincode, "_digit_planes", no_planes)
+    with pytest.raises(SearchCapExceeded, match="the candidate rows take "
+                                                "224 bytes, over the budget "
+                                                "223"):
+        min_distance(hamming(), cap=1)
+    monkeypatch.setattr(lincode, "_SEARCH_ROWS_BUDGET", 415)
+    with pytest.raises(SearchCapExceeded, match="take 416 bytes"):
+        relative_min_weight(hamming(), LinearCode(F2, HAMMING[:1]), cap=1)
+
+
 def test_canonical_form_equality():
     c1 = hamming()
     perm = HAMMING[::-1].copy()
