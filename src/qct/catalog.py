@@ -96,14 +96,14 @@ class Catalog:
                 index = _read_index(self.index_path)
                 if index is not None:
                     covered, lines, old_rows, sha, append = index
-                    prefix = fh.read(covered)
-                    digest.update(prefix)
-                    self._at_line_start = prefix[-1:] in (b"", b"\n")
-                if index is None or (len(prefix) != covered
-                                     or digest.hexdigest() != sha):
+                    prefix = _hash_prefix(fh, covered)
+                    if prefix and prefix[0].hexdigest() == sha:
+                        digest, self._at_line_start = prefix
+                    else:
+                        index = None
+                if index is None:
                     covered, lines, append = 0, 0, False
                     old_rows = np.empty(0, ROW)
-                    digest = hashlib.sha256()
                     fh.seek(0)
                 new_rows, end, newlines = self._scan(fh, covered, lines + 1,
                                                      digest)
@@ -340,6 +340,22 @@ def _one_row_per_id(rows: np.ndarray) -> np.ndarray:
     for i, eid in enumerate(rows["id"].tolist()):
         last[eid] = i
     return rows[list(last.values())]
+
+
+def _hash_prefix(fh, size: int):
+    """The SHA-256 of the next `size` bytes of `fh` and whether they end a
+    line, or None when the file is shorter.  The bytes go through one 64 KB
+    buffer: reading a large prefix whole would allocate, and fault in, a
+    fresh copy of it on every load."""
+    digest, buf = hashlib.sha256(), memoryview(bytearray(1 << 16))
+    got = 0
+    while size > 0:
+        got = fh.readinto(buf[:min(size, len(buf))])
+        if not got:
+            return None
+        digest.update(buf[:got])
+        size -= got
+    return (digest, buf[got - 1] == 10) if got else None
 
 
 def _read_index(path: str):

@@ -473,7 +473,8 @@ OLD_NON_INTEGER_INDEX = (
 
 def test_old_json_index_is_rebuilt_once(tmp_path, monkeypatch):
     path = tmp_path / "cat.jsonl"
-    path.write_bytes(b"".join(_line(kind, payload, day) for day, (kind, payload)
+    path.write_bytes(b"".join(_line(kind, payload, day)
+                              for day, (kind, payload)
                               in enumerate(OLD_STORE, 1)))
     queries = [dict(), dict(q=2), dict(n=7, k=1), dict(q=2, dz_min=3),
                dict(dx_min=3), dict(k=2, q=2)]
