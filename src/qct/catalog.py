@@ -4,12 +4,13 @@ Entries are content-addressed: the id is the SHA-256 hash of the canonical
 payload serialization, so putting the same record twice is a no-op.
 
 A sidecar index, `<catalog>.idx`, spares a load the parse of lines already
-checked.  It is only a cache.  Each of its lines is one batch, three fields
-split by spaces: the SHA-256 of the rest of the line, a JSON header and the
-batch's rows in hex.  The header holds the byte range [from, to) of the
-catalog lines the batch covers, the number of newlines before `to`, and the
-SHA-256 of the catalog's first `to` bytes.  The rows are one fixed-width
-little-endian `ROW` record per line: the id as 32 bytes, the kind's place in
+checked.  It is only a cache.  It is a chain of batches, each three fields
+split by spaces and ended by a newline: the SHA-256 of the rest of the
+batch, a JSON header and the batch's rows as raw bytes.  The header holds
+the byte range [from, to) of the catalog lines the batch covers, the number
+of newlines before `to`, the SHA-256 of the catalog's first `to` bytes and
+the number of rows.  The rows are one fixed-width little-endian `ROW`
+record per catalog line: the id as 32 bytes, the kind's place in
 KINDS, a state byte (_HAS_Q: the payload has a q key, even a null one;
 _HAS_FIELD: its field is an object), the line's byte range, and n, k, q, dz,
 dx and the field's p and e as int64, _NULL when null or absent.  So a line
@@ -29,7 +30,6 @@ ignored.
 
 from __future__ import annotations
 
-import binascii
 import hashlib
 import json
 import os
@@ -361,29 +361,35 @@ def _hash_prefix(fh, size: int):
 def _read_index(path: str):
     """The part of the index at `path` that chains from byte 0, as (covered,
     newlines, rows, sha256, appendable), or None when there is none.
-    Each line is checked against its own SHA-256, so a line that fails its
-    checksum, or does not hold a header and rows, voids the whole index.  A
-    last line with no newline is a write cut short and is dropped.  Batches
-    are taken while each starts where the last one taken ends.  The index
-    may be appended to only if it ends with the last batch taken."""
+    Each batch is checked against its own SHA-256, so a batch that fails
+    its checksum, or is not a header and the rows it counts, voids the
+    whole index.  A last batch that runs past the end is a write cut short
+    and is dropped.  Batches are taken while each starts where the last one
+    taken ends.  The index may be appended to only if it ends with the last
+    batch taken."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
         view = memoryview(data)   # slices of it are not copies
         batches, at = [], 0
-        while (end := data.find(b"\n", at)) >= 0:
-            gap = data.index(b" ", at + 65, end)   # header, then rows
-            if hashlib.sha256(view[at + 65:end]).hexdigest().encode() \
-                    != data[at:at + 64]:
-                raise ValueError("index line fails its checksum")
-            batches.append((json.loads(data[at + 65:gap]), view[gap + 1:end]))
+        while (gap := data.find(b" ", at + 65)) >= 0:   # header, then rows
+            batch = json.loads(data[at + 65:gap])
+            if batch["rows"] < 0:
+                raise ValueError("index batch has a negative row count")
+            end = gap + 1 + batch["rows"] * ROW.itemsize
+            if end >= len(data):
+                break   # cut short
+            if data[end] != 10 or hashlib.sha256(view[at + 65:end]) \
+                    .hexdigest().encode() != data[at:at + 64]:
+                raise ValueError("index batch fails its checksum")
+            batches.append((batch, view[gap + 1:end]))
             at = end + 1
         covered, newlines, parts, sha, last = 0, 0, [], None, None
-        for i, (batch, hexrows) in enumerate(batches):
+        for i, (batch, rows) in enumerate(batches):
             to = batch["to"]
             if batch["from"] != covered or not covered <= to:
                 continue
-            parts.append(binascii.unhexlify(hexrows))
+            parts.append(rows)
             covered, newlines, sha, last = to, batch["lines"], \
                 batch["sha256"], i
         rows = np.frombuffer(b"".join(parts), ROW)
@@ -397,8 +403,8 @@ def _read_index(path: str):
 
 def _write_index(path: str, header: dict, rows: np.ndarray, append: bool):
     """Append one batch, or rewrite the index as that one batch."""
-    text = (json.dumps(header, separators=(",", ":")).encode() + b" "
-            + binascii.hexlify(rows.tobytes()))
+    text = (json.dumps({**header, "rows": len(rows)}, separators=(",", ":"))
+            .encode() + b" " + rows.tobytes())
     data = hashlib.sha256(text).hexdigest().encode() + b" " + text + b"\n"
     try:
         with open(path, "ab" if append else "wb") as fh:

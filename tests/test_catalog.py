@@ -175,6 +175,19 @@ def _index(path):
     return path.parent / (path.name + ".idx")
 
 
+def _batches(path):
+    """The number of batches in the index of `path`: each is a SHA-256, a
+    JSON header and the raw rows it counts, and ends with a newline."""
+    data, count, at = _index(path).read_bytes(), 0, 0
+    while at < len(data):
+        gap = data.index(b" ", at + 65)
+        rows = json.loads(data[at + 65:gap])["rows"]
+        at = gap + 1 + rows * catalog.ROW.itemsize + 1
+        assert data[at - 1:at] == b"\n"
+        count += 1
+    return count
+
+
 def _count_parses(monkeypatch):
     calls = []
     real = catalog._parse
@@ -205,7 +218,7 @@ def test_no_index_rebuilds_it(tmp_path):
     want = [e.to_json() for e in _store(path, 10).list()]
     assert not _index(path).exists()
     assert [e.to_json() for e in Catalog(str(path)).list()] == want
-    assert len(_index(path).read_bytes().splitlines()) == 1
+    assert _batches(path) == 1
 
 
 def test_stale_index_gains_a_batch_for_appended_lines(tmp_path,
@@ -220,7 +233,7 @@ def test_stale_index_gains_a_batch_for_appended_lines(tmp_path,
     cat = Catalog(str(path))
     assert [e.id for e in cat.search(n=99, q=4)] == [added.id]
     assert len(cat.list()) == len(first.list()) + 1
-    assert len(_index(path).read_bytes().splitlines()) == 2
+    assert _batches(path) == 2
     calls = _count_parses(monkeypatch)
     assert [e.id for e in Catalog(str(path)).search(n=99)] == [added.id]
     assert len(calls) == 1   # the hit; the load parsed nothing
@@ -234,17 +247,14 @@ def test_bad_index_falls_back_to_a_full_parse(tmp_path, damage):
     Catalog(str(path))
     idx = _index(path)
     good = idx.read_bytes()
-    # the only batch's rows: the hex after the line's last space
-    rows_at = good.rindex(b" ") + 1
+    rows_at = good.index(b" ", 65) + 1   # the only batch's rows
     if damage == "garbage":
         idx.write_bytes(b"\x00garbage\n[1, 2]\n")
     elif damage == "cut_row":   # cut short inside the last row
-        idx.write_bytes(good[:-1 - catalog.ROW.itemsize])
+        idx.write_bytes(good[:-1 - catalog.ROW.itemsize // 2])
     elif damage == "flipped_row":   # one byte of row 1's offset, same length
-        at = rows_at + 2 * (catalog.ROW.itemsize + catalog.ROW.fields[
-            "start"][1])
-        assert good[at:at + 2] != b"00"
-        idx.write_bytes(good[:at] + b"00" + good[at + 2:])
+        at = rows_at + catalog.ROW.itemsize + catalog.ROW.fields["start"][1]
+        idx.write_bytes(good[:at] + bytes([good[at] ^ 1]) + good[at + 1:])
     else:   # an index that can be neither read nor written
         idx.unlink()
         idx.mkdir()
@@ -252,6 +262,23 @@ def test_bad_index_falls_back_to_a_full_parse(tmp_path, damage):
     assert [e.to_json() for e in cat.list()] == want
     if damage != "directory":
         assert idx.read_bytes() == good   # rebuilt
+
+
+def test_cut_short_last_batch_is_dropped(tmp_path, monkeypatch):
+    """A last index batch that runs past the end of the index is a write
+    cut short: the batches before it still count, so only the lines past
+    them are parsed, and the index is written again as one batch."""
+    path = tmp_path / "cat.jsonl"
+    want = [e.to_json() for e in _store(path, 6).list()]
+    Catalog(str(path))
+    added = Catalog(str(path)).put("quantum", {"n": 99})
+    Catalog(str(path))
+    assert _batches(path) == 2
+    _index(path).write_bytes(_index(path).read_bytes()[:-10])
+    calls = _count_parses(monkeypatch)
+    cat = Catalog(str(path))
+    assert len(calls) == 1 and _batches(path) == 1
+    assert [e.to_json() for e in cat.list()] == want + [added.to_json()]
 
 
 @pytest.mark.parametrize("index", ["present", "stale", "missing"])
@@ -491,7 +518,7 @@ def test_old_json_index_is_rebuilt_once(tmp_path, monkeypatch):
     assert answers() == want
     assert len(calls) == 5 + 5 + 11   # the rebuild, list() and the hits
     rebuilt = _index(path).read_bytes()
-    assert rebuilt != OLD_JSON_INDEX and len(rebuilt.splitlines()) == 1
+    assert rebuilt != OLD_JSON_INDEX and _batches(path) == 1
     calls.clear()
     assert answers() == want and len(calls) == 5 + 11
     assert _index(path).read_bytes() == rebuilt
