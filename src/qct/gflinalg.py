@@ -16,7 +16,8 @@ def rref(mat, field: Field):
     """Reduced row echelon form. Returns (R, pivot_columns); zero rows dropped.
 
     Each pivot clears its column from every other row in one vectorized
-    update, a vmul and a vadd: one table lookup each for q <=
+    update: over GF(2) the pivot row XORed in place into the rows with a 1
+    there, otherwise a vmul and a vadd, one table lookup each for q <=
     galois.TABLE_MAX, log/antilog and base-p digits above it.  A matrix
     whose shape allows more than _RREF_BUDGET entry updates (rows * rank
     bound * cols) raises SearchCapExceeded before any elimination."""
@@ -44,7 +45,9 @@ def rref(mat, field: Field):
             a[r] = field.vmul(field.inv(int(a[r, c])), a[r])
         others = a[:, c].nonzero()[0]
         others = others[others != r]
-        if others.size:
+        if field.order == 2:   # the coefficient is 1 and addition is XOR
+            a[others] ^= a[r]
+        elif others.size:
             coef = field.vneg(a[others, c])
             a[others] = field.vadd(a[others], field.vmul(coef[:, None], a[r]))
         pivots.append(c)
@@ -78,7 +81,9 @@ def complement(r, pivots, field: Field):
     """The right null space of r, given r[:, pivots] = I (an rref and its
     pivots), in systematic form: one row per other column c, ascending,
     with 1 at c and -r[:, c] at the pivots.  Returns (rows, those columns)."""
-    free = np.setdiff1d(np.arange(r.shape[1]), pivots, assume_unique=True)
+    mask = np.ones(r.shape[1], dtype=bool)
+    mask[pivots] = False
+    free = mask.nonzero()[0]
     out = np.zeros((len(free), r.shape[1]), dtype=np.int64)
     out[np.arange(len(free)), free] = 1
     out[:, pivots] = field.vneg(r[:, free]).T

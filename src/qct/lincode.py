@@ -41,7 +41,13 @@ information-set search (p <= 2, a fixed seed and a fixed number of
 information sets) looks for a light codeword in the same digit planes.  Each
 information set is found by eliminating the smaller of G and H (matroid
 duality, through gflinalg.perp_rref), so a high-rate code takes n - k
-pivot steps per set instead of k.  The result is exact only when that
+pivot steps per set instead of k.  Candidates hold only their codeword
+digits.  Membership in C1 is tested only for the candidates that would
+beat the best weight so far, through their syndromes s_a + c.s_j from one
+product R.H1^T per information set, made when the set first needs it.
+The candidate blocks keep the size they had when each candidate also
+carried its syndrome digits, so the stop at the target, which comes after
+a whole block, returns the same word.  The result is exact only when that
 witness, checked to be in the code and outside C1, meets a certified lower
 bound: the design (BCH) distance, or d >= 2 when no weight-1 word lies in
 C2 \\ C1.  The exact methods are `witness_meets_bch_bound`,
@@ -298,22 +304,24 @@ def _digit_planes(f: Field, vals: np.ndarray, n: int) -> np.ndarray:
     Plane and word lead, so for vectors in the trailing axes every (plane,
     word) pair is one row, and a (e.W, R) reshape of a block is a view.
     For p = 2 each plane is packed little-endian into uint64 words, with
-    positions [0, n) and [n, N) starting separate words; for odd p each
-    digit is the smallest unsigned integer that holds 2(p - 1), the sum of
-    two digits (see _plane_adder).
+    positions [0, n) and [n, N) starting separate words: the bits are
+    written into one zeroed uint8 array of the padded width and packed by
+    one packbits.  For odd p each digit is the smallest unsigned integer
+    that holds 2(p - 1), the sum of two digits (see _plane_adder).
     """
     if f.p != 2:
         digits = (vals[..., None, :] // f.p ** np.arange(f.e)[:, None]) % f.p
         planes = digits.astype(np.min_scalar_type(2 * (f.p - 1)))
         return np.moveaxis(planes, (-2, -1), (0, 1))
+    tail = vals.shape[-1] - n
+    wc = -(-n // 64)
+    bits = np.zeros((*vals.shape[:-1], f.e, 64 * (wc + -(-tail // 64))),
+                    dtype=np.uint8)
     digits = (vals[..., None, :] >> np.arange(f.e)[:, None]) & 1
-    parts = []
-    for part in (digits[..., :n], digits[..., n:]):
-        pad = -part.shape[-1] % 64
-        part = np.pad(part.astype(np.uint8),
-                      [(0, 0)] * (part.ndim - 1) + [(0, pad)])
-        parts.append(np.packbits(part, axis=-1, bitorder="little").view("<u8"))
-    return np.moveaxis(np.concatenate(parts, axis=-1), (-2, -1), (0, 1))
+    bits[..., :n] = digits[..., :n]
+    bits[..., 64 * wc:64 * wc + tail] = digits[..., n:]
+    planes = np.packbits(bits, axis=-1, bitorder="little").view("<u8")
+    return np.moveaxis(planes, (-2, -1), (0, 1))
 
 
 def _plane_adder(p: int):
@@ -440,7 +448,8 @@ def _enumerate(code: LinearCode, exclude: LinearCode | None):
 def _syndromes(r, pivots, s, f: Field):
     """r.s for a matrix r with r[:, pivots] = I: s[P] + r[:, D].s[D], one
     product over the other columns D."""
-    d = np.setdiff1d(np.arange(r.shape[1]), pivots, assume_unique=True)
+    d = np.ones(r.shape[1], dtype=bool)
+    d[pivots] = False
     return f.vadd(s[pivots], gflinalg.matmul(r[:, d], s[d], f))
 
 
@@ -453,60 +462,95 @@ def _systematic(code: LinearCode, perm):
     return gflinalg.perp_rref(h.matrix, h.pivots, code.field, perm)
 
 
+@lru_cache(maxsize=None)
+def _search_perms(n: int) -> tuple:
+    """The _SEARCH_SETS column orders of _witness_search for length n:
+    successive shuffles of one list range(n) by random.Random(0), as
+    read-only arrays."""
+    rng = random.Random(0)
+    perm = list(range(n))
+    perms = []
+    for _ in range(_SEARCH_SETS):
+        rng.shuffle(perm)
+        perms.append(np.array(perm))
+        perms[-1].setflags(write=False)
+    return tuple(perms)
+
+
 def _witness_search(code: LinearCode, exclude: LinearCode | None,
                     target: int):
     """Lee-Brickell search with p <= 2 (Lee & Brickell 1988).
 
-    Each of _SEARCH_SETS information sets comes from one column shuffle
-    (stdlib `random`, seed 0) and the systematic generator R of _systematic,
-    one rref of the smaller of G and H.  With S = H1^T[perm] for the parity
-    check H1 of `exclude`, the syndrome columns of R are _syndromes(R, J, S)
-    for the information set J, one product over n - k terms.  Every word
-    R_i + c.R_j (c in GF(q), j any row) is a candidate; the lightest one
-    outside `exclude` (nonzero when `exclude` is None) is kept.  Candidates
-    are built in the kernel's word-major layout, a step of rows R_i against
-    a table of 0 and every c.R_j in one broadcast add, and weighed by the
-    kernel's _weights; flattened, a block lists the candidates in the
-    order (i, then 0, then c.R_j by c and j).  The search stops once its
-    weight reaches `target`.  Returns (weight, word), the word in the
-    code's own coordinates.  Rows whose int64 digits would take more than
-    _SEARCH_ROWS_BUDGET bytes raise SearchCapExceeded before any set."""
+    Each of _SEARCH_SETS information sets comes from one column order of
+    _search_perms and the systematic generator R of _systematic, one rref
+    of the smaller of G and H.  Every word R_a + c.R_j (c in GF(q), j any
+    row) is a candidate; the lightest one outside `exclude` (nonzero when
+    `exclude` is None) is kept.  Candidates hold only the n codeword
+    digits, built in the kernel's word-major layout, a step of rows R_a
+    against a table of 0 and every c.R_j in one broadcast add, and weighed
+    by the kernel's _weights; flattened, a block lists the candidates in
+    the order (a, then 0, then c.R_j by c and j).  Membership in `exclude`
+    is tested only where a candidate could win: in each block, the
+    candidates of the lightest weight below the best so far, in block
+    order, through their syndromes s_a + c.s_j, where s = _syndromes(R, J,
+    H1^T[perm]) for the information set J and the parity check H1 of
+    `exclude` (one product per set, made when the set first needs it).
+    The first with a nonzero syndrome wins; if every one lies in
+    `exclude`, the next weight is tried.  Blocks are sized as when each
+    candidate also carried its syndrome digits, and the search stops after
+    the first block that leaves its weight at `target`, so a stop after a
+    block returns the same word as the full layout did.  Returns (weight,
+    word), the word in the code's own coordinates.  Rows whose int64
+    digits would take more than _SEARCH_ROWS_BUDGET bytes raise
+    SearchCapExceeded before any set."""
     f = code.field
-    n = code.n
-    syn = None if exclude is None else exclude.parity_check().T
+    n, q = code.n, f.order
+    h1 = None if exclude is None else exclude.parity_check().T
     wc = -(-n // 64) if f.p == 2 else n
     add = _plane_adder(f.p)
-    width = n if syn is None else n + syn.shape[1]
-    need = (f.order - 1) * code.k * f.e * width * 8
+    # codeword plus syndrome digits: the budget and the block size count
+    # both, though candidates hold only the codeword digits
+    width = n if h1 is None else n + h1.shape[1]
+    need = (q - 1) * code.k * f.e * width * 8
     if need > _SEARCH_ROWS_BUDGET:
         raise SearchCapExceeded(
             f"witness search in {code!r}: the candidate rows take {need} "
             f"bytes, over the budget {_SEARCH_ROWS_BUDGET}")
-    rng = random.Random(0)
-    perm = list(range(n))
+    row_bytes = _digit_planes(f, np.zeros(width, dtype=np.int64), n).nbytes
     best_w, best = n + 1, None
-    for _ in range(_SEARCH_SETS):
-        rng.shuffle(perm)
+    for perm in _search_perms(n):
         r, piv = _systematic(code, perm)
         k = len(r)
-        if syn is not None:
-            r = np.concatenate([r, _syndromes(r, piv, syn[perm], f)], axis=1)
         # rows[:, (c - 1) * k + j] = the digit-plane rows of c * R_j
-        rows = _digit_planes(f, f.vmul(np.arange(1, f.order)[:, None, None],
-                                       r[None]).reshape(-1, r.shape[1]), n)
+        rows = _digit_planes(f, f.vmul(np.arange(1, q)[:, None, None],
+                                       r[None]).reshape(-1, n), n)
         rows = rows.reshape(-1, rows.shape[-1])
         table = np.concatenate([np.zeros_like(rows[:, :1]), rows], axis=1)
-        step = max(1, _SEARCH_BYTES // table.nbytes)
+        cols = table.shape[1]
+        step = max(1, _SEARCH_BYTES // (row_bytes * cols))
+        syn = None
         for i in range(0, k, step):
             block = add(rows[:, i:min(i + step, k), None], table[:, None])
             block = block.reshape(len(table), -1)
-            weights = _weights(f, block, n, wc, exclude is not None)
-            if exclude is None:
-                weights[weights == 0] = n + 1
-            j = int(np.argmin(weights))
-            if weights[j] < best_w:
-                best_w, best = int(weights[j]), np.empty(n, dtype=np.int64)
-                best[perm] = _word(f, block[:, j], n, wc)
+            weights = _weights(f, block, n, wc, relative=False)
+            weights[weights == 0] = n + 1
+            while (w := int(weights.min())) < best_w:
+                hits = np.flatnonzero(weights == w)
+                if h1 is not None:
+                    if syn is None:   # syn[t] = the syndrome of table[:, t]
+                        s = _syndromes(r, piv, h1[perm], f)
+                        cs = f.vmul(np.arange(1, q)[:, None, None], s[None])
+                        syn = np.concatenate([np.zeros_like(s[:1]),
+                                              cs.reshape(-1, s.shape[1])])
+                    # hit = row R_a (table column 1 + a) plus table column t
+                    outside = f.vadd(syn[1 + i + hits // cols],
+                                     syn[hits % cols]).any(axis=1)
+                    if not outside.any():
+                        weights[hits] = n + 1
+                        continue
+                    hits = hits[outside]
+                best_w, best = w, np.empty(n, dtype=np.int64)
+                best[perm] = _word(f, block[:, hits[0]], n, wc)
             if best_w <= target:
                 return best_w, best
     return best_w, best

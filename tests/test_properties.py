@@ -344,6 +344,33 @@ def rref_per_row(mat, field):
     return a[:r], pivots
 
 
+def test_binary_rref_is_xor_elimination(monkeypatch):
+    """Over GF(2) the rref clears each column by XOR alone: with the field's
+    vmul, vadd and vneg made to raise, it still equals the per-row oracle
+    on square, tall, wide and rank-deficient 0/1 matrices up to 60 x 130."""
+    f = build_field(2, 1)
+    rng = np.random.default_rng(22)
+    cases = []
+    for rows, cols in [(1, 1), (1, 9), (9, 1), (8, 8), (60, 60), (60, 13),
+                       (13, 60), (60, 130), (130, 60)]:
+        for rank in sorted({0, 1, min(rows, cols) // 2, min(rows, cols)}):
+            mat = (rng.integers(0, 2, (rows, rank))
+                   @ rng.integers(0, 2, (rank, cols))) % 2
+            cases.append((mat, rref_per_row(mat, f)))
+
+    def refuse(*args):
+        raise AssertionError("field arithmetic in a GF(2) rref")
+    for op in ("vmul", "vadd", "vneg"):
+        monkeypatch.setattr(f, op, refuse)
+    deficient = 0
+    for mat, (want_r, want_pivots) in cases:
+        r, pivots = gflinalg.rref(mat, f)
+        assert r.dtype == want_r.dtype and np.array_equal(r, want_r)
+        assert pivots == want_pivots
+        deficient += len(pivots) < min(mat.shape)
+    assert deficient >= 10
+
+
 def matmul_scalar(a, b, field):
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     for i, j, t in itertools.product(*map(range, (*out.shape, a.shape[1]))):

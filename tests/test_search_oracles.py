@@ -250,18 +250,46 @@ def test_witness_search_matches_oracle_on_boundary_shapes(case):
 
 
 @pytest.mark.parametrize("i", [2, 3])
-def test_witness_search_matches_oracle_on_charpin_pairs(i):
+def test_witness_search_matches_oracle_on_charpin_pairs(i, monkeypatch):
     """C1 = B(2^i+1)^perp < C2 = B_i of charpin_family(7, i) (its family 2
     is a formula record at m = 7), the dual pair, and both outer codes
-    alone; every search runs all information sets (target 1)."""
+    alone; every search runs all information sets (target 1).  A relative
+    search makes its syndrome product once, in the first set: no later
+    set meets a lighter candidate."""
     bi = families.preparata_like_bi(7, i)
     bdelta = families.bch_narrow_sense(build_field(2, 1), 127, 2 ** i + 1)
     assert bi.contains_code(bdelta.dual()) and 2 * bi.k > bi.n
+    calls = []
+    syndromes = lincode._syndromes
+    monkeypatch.setattr(lincode, "_syndromes",
+                        lambda *args: calls.append(1) or syndromes(*args))
     for code, inner in [(bi, bdelta.dual()), (bdelta, bi.dual()),
                         (bi, None), (bdelta, None)]:
+        calls.clear()
         got = lincode._witness_search(code, inner, 1)
+        assert len(calls) == (inner is not None)
         want = oracle_witness_search(code, inner, 1)
         assert got[0] == want[0] and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+def test_witness_search_matches_oracle_when_it_stops_early(p, e):
+    """Relative pairs whose search meets its target (n // 5 or n // 4)
+    after a block that is not the last, so a different block partition
+    would return a different word: C2 of n = 120-200, k2 = 90-100, over a
+    random C1 of half its dimension."""
+    f = build_field(p, e)
+    rng = np.random.default_rng(17000 + p ** e)
+    early = 0
+    for n, k2 in [(120, 100), (140, 90), (200, 100)]:
+        code = random_code(f, n, k2, rng)
+        inner = random_subcode(code, k2 // 2, rng)
+        for target in (n // 5, n // 4):
+            got = lincode._witness_search(code, inner, target)
+            want = oracle_witness_search(code, inner, target)
+            assert got[0] == want[0] and np.array_equal(got[1], want[1])
+            early += got[0] <= target
+    assert early >= 2
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
