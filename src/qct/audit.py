@@ -257,16 +257,17 @@ def audit_table2(cap: int = DEFAULT_CAP, threads: int = 1) -> VerificationReport
 
 # -- Table 3 and the BCH examples: binary BCH pairs ---------------------------
 
-def _audit_bch_pair(m: int, delta1: int, row, detail: dict) -> AuditRow:
-    rec = quantum.lemma_bch1(m, delta1, row[2])
+def _audit_bch_pair(m: int, delta1: int, row, detail: dict,
+                    cap: int) -> AuditRow:
+    rec = quantum.lemma_bch1(m, delta1, row[2], cap)
     return _row(2, row, [rec], {"rebuilt": rec.to_json(), **detail})
 
 
 def audit_table3(cap: int = DEFAULT_CAP, threads: int = 1) -> VerificationReport:
     note = {"note": "distances are BCH-bound lower bounds with "
                     "Singleton / Carlitz-Uchiyama cross-checks"}
-    rows = _map_rows(lambda r: _audit_bch_pair(10, r[3], r, note), TABLE3_ROWS,
-                     threads)
+    rows = _map_rows(lambda r: _audit_bch_pair(10, r[3], r, note, cap),
+                     TABLE3_ROWS, threads)
     return VerificationReport("table3", rows)
 
 
@@ -334,7 +335,7 @@ def _audit_rs_example(row, cap: int) -> AuditRow:
 def audit_examples(cap: int = DEFAULT_CAP, threads: int = 1) -> VerificationReport:
     rows = _map_rows(lambda r: _audit_rs_example(r, cap), RS_EXAMPLE_ROWS,
                      threads)
-    rows += _map_rows(lambda r: _audit_bch_pair(r[0], r[1], r[2:], {}),
+    rows += _map_rows(lambda r: _audit_bch_pair(r[0], r[1], r[2:], {}, cap),
                       BCH_EXAMPLE_ROWS, threads)
     return VerificationReport("examples", rows)
 

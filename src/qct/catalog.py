@@ -39,8 +39,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import FieldError, QctError
-from .galois import prime_power
+from .errors import QctError
 
 DEFAULT_PATH = "qct_catalog.jsonl"
 
@@ -250,21 +249,26 @@ class Catalog:
         return sorted(self._read(rows), key=lambda e: e.created)
 
     def search(self, n=None, k=None, q=None, dz_min=None, dx_min=None):
-        """Match quantum/classical payloads on parameters.  A classical
-        payload matches q on its field record's (p, e), with no p ** e.
-        The index rows are filtered as columns; only the hits are parsed."""
+        """Match quantum/classical payloads on parameters.  A payload
+        without a `q` key matches q when its field record's (p, e) has
+        p ** e == q, p >= 2 and e >= 1, at any size: a field above
+        galois.SIZE_CAP is matched too.  The index rows are filtered as
+        columns; only the hits are parsed."""
         rows = self._all_rows()
         hit = np.ones(len(rows), dtype=bool)
         for key, value in (("n", n), ("k", k)):
             if value is not None:
                 hit &= _equal(rows[key], value)
         if q is not None:
-            try:
-                p, e = prime_power(q)
-                on_field = ((rows["state"] & _HAS_FIELD != 0)
-                            & _equal(rows["p"], p) & _equal(rows["e"], e))
-            except FieldError:
-                on_field = False
+            p, e = rows["p"], rows["e"]
+            # p >= 2, so p ** e == q needs e <= q.bit_length(): only the
+            # distinct (p, e) under that bound are raised to a power
+            field = ((rows["state"] & _HAS_FIELD != 0) & (p >= 2) & (e >= 1)
+                     & (e <= q.bit_length()))
+            on_field = np.zeros(len(rows), dtype=bool)
+            for pair in set(zip(p[field].tolist(), e[field].tolist())):
+                if pair[0] ** pair[1] == q:
+                    on_field |= (p == pair[0]) & (e == pair[1])
             hit &= np.where(rows["state"] & _HAS_Q != 0,
                             _equal(rows["q"], q), on_field)
         for key, floor in (("dz", dz_min), ("dx", dx_min)):

@@ -19,15 +19,19 @@ and 512 KB fastest, 1 MB 1.3-1.6 times and 4 MB 3-4 times slower, so the
 table stays at 256 KB.  Weight is invariant under a nonzero scalar, and
 c.x lies outside C1 exactly when x does, so the walk visits one codeword
 per scalar class: the high block 0, then only the high messages whose top
-nonzero digit is 1, q - 1 times fewer words.  Among the multiples of a message, the one with top digit 1 has the
-smallest index (the field's 1 is the integer 1).  Row 0 is the
-least-significant message digit, so the witness is still the first
-minimum-weight codeword in message-index order.  For the relative weight
-of C2 over C1, the syndrome columns G2.H1^T are appended to the generator,
-and a codeword lies outside C1 exactly when its syndrome digits are
-nonzero: the syndrome rows are ORed into one vector, and the words where
-it is 0 get weight n + 1.  A walk that would visit more than _WALK_BUDGET
-words raises SearchCapExceeded before its table is built.
+nonzero digit is 1, q - 1 times fewer words.  Among the multiples of a
+message, the one with top digit 1 has the smallest index (the field's 1 is
+the integer 1).  Row 0 is the least-significant message digit, so the
+witness is still the first minimum-weight codeword in message-index order.
+A walk that would visit more than _WALK_BUDGET words raises
+SearchCapExceeded before its table is built.
+
+Both walks, this one and the search below, hold the n codeword digits only
+and pick each block's winner by one rule, _lightest_outside: the first word
+of the least weight below the best so far whose syndrome x.H1^T is nonzero
+(so it lies outside C1), the syndromes formed for would-be winners only;
+weight 0 counts as n + 1.  Here the syndrome of message m is its digits
+times S = G2.H1^T, one product per walk.
 
 The walk stops after the first block that leaves its best weight at the
 code's design distance (1 when there is none), a certified lower bound; a
@@ -41,21 +45,16 @@ information-set search (p <= 2, a fixed seed and a fixed number of
 information sets) looks for a light codeword in the same digit planes.  Each
 information set is found by eliminating the smaller of G and H (matroid
 duality, through gflinalg.perp_rref), so a high-rate code takes n - k
-pivot steps per set instead of k.  Candidates hold only their codeword
-digits.  Membership in C1 is tested only for the candidates that would
-beat the best weight so far, through their syndromes s_a + c.s_j from one
-product R.H1^T per information set, made when the set first needs it.
-The candidate blocks keep the size they had when each candidate also
-carried its syndrome digits, so the stop at the target, which comes after
-a whole block, returns the same word.  The result is exact only when that
-witness, checked to be in the code and outside C1, meets a certified lower
-bound: the design (BCH) distance, or d >= 2 when no weight-1 word lies in
-C2 \\ C1.  The exact methods are `witness_meets_bch_bound`,
-`witness_meets_no_weight_one` and, for a weight-1 word,
-`witness_meets_nonzero`.  Otherwise the result is a `lower_bound` (method
-`bch_bound` or `no_weight_one`), or a declared distance the witness does
-not refute (kind and method `declared`), with the witness weight as
-`upper`.  A declared distance is never a certificate.
+pivot steps per set instead of k.  The syndrome of its candidate
+R_a + c.R_j is s_a + c.s_j, from one product R.H1^T per information set.
+The result is exact only when that witness, checked to be in the code and
+outside C1, meets a certified lower bound: the design (BCH) distance, or
+d >= 2 when no weight-1 word lies in C2 \\ C1.  The exact methods are
+`witness_meets_bch_bound`, `witness_meets_no_weight_one` and, for a
+weight-1 word, `witness_meets_nonzero`.  Otherwise the result is a
+`lower_bound` (method `bch_bound` or `no_weight_one`), or a declared
+distance the witness does not refute (kind and method `declared`), with the
+witness weight as `upper`.  A declared distance is never a certificate.
 
 Duals, information sets, syndrome columns and containment are read off a
 code's rref R and its pivots P, where R[:, P] = I.  Every dual and every
@@ -298,28 +297,24 @@ def direct_sum(a: LinearCode, b: LinearCode) -> LinearCode:
 
 # -- weight enumeration -------------------------------------------------------
 
-def _digit_planes(f: Field, vals: np.ndarray, n: int) -> np.ndarray:
-    """Elements (..., N) -> word-major base-p digit planes (e, W, ...).
+def _digit_planes(f: Field, vals: np.ndarray) -> np.ndarray:
+    """Elements (..., n) -> word-major base-p digit planes (e, W, ...).
 
     Plane and word lead, so for vectors in the trailing axes every (plane,
     word) pair is one row, and a (e.W, R) reshape of a block is a view.
-    For p = 2 each plane is packed little-endian into uint64 words, with
-    positions [0, n) and [n, N) starting separate words: the bits are
-    written into one zeroed uint8 array of the padded width and packed by
-    one packbits.  For odd p each digit is the smallest unsigned integer
-    that holds 2(p - 1), the sum of two digits (see _plane_adder).
+    For p = 2 each plane is packed little-endian into W = ceil(n / 64)
+    uint64 words: the bits are written into one zeroed uint8 array of the
+    padded width and packed by one packbits.  For odd p, W = n and each
+    digit is the smallest unsigned integer that holds 2(p - 1), the sum of
+    two digits (see _plane_adder).
     """
     if f.p != 2:
         digits = (vals[..., None, :] // f.p ** np.arange(f.e)[:, None]) % f.p
         planes = digits.astype(np.min_scalar_type(2 * (f.p - 1)))
         return np.moveaxis(planes, (-2, -1), (0, 1))
-    tail = vals.shape[-1] - n
-    wc = -(-n // 64)
-    bits = np.zeros((*vals.shape[:-1], f.e, 64 * (wc + -(-tail // 64))),
-                    dtype=np.uint8)
-    digits = (vals[..., None, :] >> np.arange(f.e)[:, None]) & 1
-    bits[..., :n] = digits[..., :n]
-    bits[..., 64 * wc:64 * wc + tail] = digits[..., n:]
+    n = vals.shape[-1]
+    bits = np.zeros((*vals.shape[:-1], f.e, 64 * -(-n // 64)), dtype=np.uint8)
+    bits[..., :n] = (vals[..., None, :] >> np.arange(f.e)[:, None]) & 1
     planes = np.packbits(bits, axis=-1, bitorder="little").view("<u8")
     return np.moveaxis(planes, (-2, -1), (0, 1))
 
@@ -343,42 +338,48 @@ def _plane_adder(p: int):
     return add
 
 
-def _weights(f: Field, block: np.ndarray, n: int, wc: int,
-             relative: bool) -> np.ndarray:
-    """Hamming weights of the words in the columns of a word-major block
-    (e.W, R), as np.min_scalar_type(n + 1); with `relative`, words whose
-    syndrome digits are all zero get weight n + 1.
+def _weights(f: Field, block: np.ndarray, n: int) -> np.ndarray:
+    """Hamming weights of the length-n words in the columns of a word-major
+    block (e.W, R), as np.min_scalar_type(n + 1).
 
-    The first wc rows of each plane hold the codeword, the rest its
-    syndrome.  The planes are ORed row by row; a weight is a sum of
-    popcounts over the wc words (p = 2) or a count of the nonzero digits
-    (odd p), both over contiguous rows."""
-    planes = block.reshape(f.e, -1, block.shape[-1])
-    nz = planes[0, :wc]
-    for pl in range(1, f.e):
-        nz = nz | planes[pl, :wc]
+    The planes are ORed row by row; a weight is a sum of popcounts over the
+    W words (p = 2) or a count of the nonzero digits (odd p), both over
+    contiguous rows."""
+    nz = reduce(np.bitwise_or, block.reshape(f.e, -1, block.shape[-1]))
     dtype = np.min_scalar_type(n + 1)
-    if f.p == 2:
-        weights = np.bitwise_count(nz[0]).astype(dtype, copy=False)
-        for w in range(1, wc):
-            weights += np.bitwise_count(nz[w])
-    else:
-        weights = (nz != 0).sum(axis=0, dtype=dtype)
-    if relative:
-        syn = reduce(np.bitwise_or, planes[:, wc:])   # OR over the planes
-        syn = syn[0] if len(syn) == 1 else np.bitwise_or.reduce(syn)
-        weights[syn == 0] = n + 1
+    if f.p != 2:
+        return (nz != 0).sum(axis=0, dtype=dtype)
+    weights = np.bitwise_count(nz[0]).astype(dtype, copy=False)
+    for w in range(1, len(nz)):
+        weights += np.bitwise_count(nz[w])
     return weights
 
 
-def _word(f: Field, column: np.ndarray, n: int, wc: int) -> np.ndarray:
+def _lightest_outside(weights: np.ndarray, best_w: int, n: int, syndromes,
+                      first: int):
+    """(weight, column) of the first column of the least weight below
+    best_w whose syndrome is nonzero, or None.  Column c is candidate
+    first + c of its walk, and syndromes(first + cols) has one row per
+    column; with no `syndromes`, every column counts.  One weight is tested
+    at a time, lightest first; a weight of zero words, or of words all in
+    C1, is set to n + 1 in `weights` and the next is tried."""
+    while (w := int(weights.min())) < best_w:
+        hits = np.flatnonzero(weights == w)
+        if w:
+            won = (hits if syndromes is None
+                   else hits[syndromes(first + hits).any(axis=1)])
+            if len(won):
+                return w, int(won[0])
+        weights[hits] = n + 1
+    return None
+
+
+def _word(f: Field, column: np.ndarray, n: int) -> np.ndarray:
     """The length-n field vector held in one column of a word-major block."""
-    planes = column.reshape(f.e, -1)
+    digits = column.reshape(f.e, -1)
     if f.p == 2:
-        digits = np.unpackbits(planes[:, :wc].copy().view(np.uint8), axis=-1,
+        digits = np.unpackbits(digits.copy().view(np.uint8), axis=-1,
                                bitorder="little")[:, :n]
-    else:
-        digits = planes[:, :n]
     scale = (f.p ** np.arange(f.e))[:, None]
     return (digits.astype(np.int64) * scale).sum(axis=0)
 
@@ -386,20 +387,16 @@ def _word(f: Field, column: np.ndarray, n: int, wc: int) -> np.ndarray:
 def _enumerate(code: LinearCode, exclude: LinearCode | None):
     """Minimum weight, and the first codeword of that weight in message-index
     order, over the nonzero codewords of `code` outside `exclude` (if given).
-    The walk and its stop at the design distance of `code` are described in
-    the module docstring."""
+    The walk, its test of `exclude` and its stop at the design distance of
+    `code` are described in the module docstring."""
     floor = code.design_distance or 1
     f = code.field
     p, q = f.p, f.order
-    k, n = code.matrix.shape
     g = code.matrix
-    if exclude is not None:   # syndrome columns G.H^T of `exclude`
-        syn = _syndromes(g, code.pivots, exclude.parity_check().T, f)
-        g = np.concatenate([g, syn], axis=1)
+    k, n = g.shape
     # scaled[:, c, j] = the digit-plane rows of c * row j
-    scaled = _digit_planes(f, f.vmul(np.arange(q)[:, None, None], g[None]),
-                           n).reshape(-1, q, k)
-    wc = -(-n // 64) if p == 2 else n   # words (or digits) of the codeword
+    scaled = _digit_planes(f, f.vmul(np.arange(q)[:, None, None], g[None]))
+    scaled = scaled.reshape(-1, q, k)
     add = _plane_adder(p)
 
     t = 1
@@ -410,6 +407,14 @@ def _enumerate(code: LinearCode, exclude: LinearCode | None):
         raise SearchCapExceeded(
             f"enumerating {code!r}: the walk visits up to {words} words, "
             f"over the budget {_WALK_BUDGET}")
+    syndromes = None
+    if exclude is not None:
+        s = _syndromes(g, code.pivots, exclude.parity_check().T, f)
+        # every message index is below (q - 1).words <= 2^50: int64 digits
+        powers = q ** np.arange(k)
+
+        def syndromes(m):   # messages m: their digits times S
+            return gflinalg.matmul(m[:, None] // powers % q, s, f)
     # table[:, m] = the digit-plane rows of low message m, one per column
     table = scaled[:, :, 0]
     for j in range(1, t):
@@ -429,12 +434,10 @@ def _enumerate(code: LinearCode, exclude: LinearCode | None):
             if d:
                 off = add(off, scaled[:, d, j])
         add(table, off[:, None], out=buf, tmp=tmp)
-        weights = _weights(f, buf, n, wc, exclude is not None)
-        if exclude is None and h == 0:
-            weights[0] = n + 1   # rows are independent: only message 0 is zero
-        i = int(np.argmin(weights))
-        if weights[i] < best_w:
-            best_w, best = int(weights[i]), buf[:, i].copy()
+        hit = _lightest_outside(_weights(f, buf, n), best_w, n, syndromes,
+                                h * q ** t)
+        if hit is not None:
+            best_w, best = hit[0], buf[:, hit[1]].copy()
         if best_w <= floor:
             break
     if best_w < floor:
@@ -442,7 +445,7 @@ def _enumerate(code: LinearCode, exclude: LinearCode | None):
                         f"lower bound {floor}")
     if best is None:
         return best_w, None
-    return best_w, tuple(int(x) for x in _word(f, best, n, wc))
+    return best_w, tuple(int(x) for x in _word(f, best, n))
 
 
 def _syndromes(r, pivots, s, f: Field):
@@ -484,73 +487,62 @@ def _witness_search(code: LinearCode, exclude: LinearCode | None,
     Each of _SEARCH_SETS information sets comes from one column order of
     _search_perms and the systematic generator R of _systematic, one rref
     of the smaller of G and H.  Every word R_a + c.R_j (c in GF(q), j any
-    row) is a candidate; the lightest one outside `exclude` (nonzero when
-    `exclude` is None) is kept.  Candidates hold only the n codeword
-    digits, built in the kernel's word-major layout, a step of rows R_a
-    against a table of 0 and every c.R_j in one broadcast add, and weighed
-    by the kernel's _weights; flattened, a block lists the candidates in
-    the order (a, then 0, then c.R_j by c and j).  Membership in `exclude`
-    is tested only where a candidate could win: in each block, the
-    candidates of the lightest weight below the best so far, in block
-    order, through their syndromes s_a + c.s_j, where s = _syndromes(R, J,
-    H1^T[perm]) for the information set J and the parity check H1 of
-    `exclude` (one product per set, made when the set first needs it).
-    The first with a nonzero syndrome wins; if every one lies in
-    `exclude`, the next weight is tried.  Blocks are sized as when each
-    candidate also carried its syndrome digits, and the search stops after
-    the first block that leaves its weight at `target`, so a stop after a
-    block returns the same word as the full layout did.  Returns (weight,
-    word), the word in the code's own coordinates.  Rows whose int64
-    digits would take more than _SEARCH_ROWS_BUDGET bytes raise
+    row) is a candidate.  A block is a step of rows R_a against a table of
+    0 and every c.R_j, in one broadcast add of n-digit planes; candidate
+    a.cols + t of a set is R_a plus table column t.  _lightest_outside
+    picks each block's winner, through syndromes s_a + c.s_j, with
+    s = _syndromes(R, J, H1^T[perm]) for the information set J and the
+    parity check H1 of `exclude`, one product per set, made when the set
+    first needs it.  Blocks are sized for n + (n - k1) digits a candidate,
+    and the search stops after the first block that leaves its weight at
+    `target`, so that partition decides which word a stop returns.  Returns
+    (weight, word), the word in the code's own coordinates.  Rows whose
+    int64 digits would take more than _SEARCH_ROWS_BUDGET bytes raise
     SearchCapExceeded before any set."""
     f = code.field
     n, q = code.n, f.order
     h1 = None if exclude is None else exclude.parity_check().T
-    wc = -(-n // 64) if f.p == 2 else n
     add = _plane_adder(f.p)
-    # codeword plus syndrome digits: the budget and the block size count
-    # both, though candidates hold only the codeword digits
-    width = n if h1 is None else n + h1.shape[1]
-    need = (q - 1) * code.k * f.e * width * 8
+    # the budget and the block size count n codeword and n - k1 syndrome
+    # digits, though candidates hold only the codeword digits
+    widths = (n,) if h1 is None else (n, h1.shape[1])
+    need = (q - 1) * code.k * f.e * sum(widths) * 8
     if need > _SEARCH_ROWS_BUDGET:
         raise SearchCapExceeded(
             f"witness search in {code!r}: the candidate rows take {need} "
             f"bytes, over the budget {_SEARCH_ROWS_BUDGET}")
-    row_bytes = _digit_planes(f, np.zeros(width, dtype=np.int64), n).nbytes
+    row_bytes = sum(_digit_planes(f, np.zeros(w, dtype=np.int64)).nbytes
+                    for w in widths)
     best_w, best = n + 1, None
     for perm in _search_perms(n):
         r, piv = _systematic(code, perm)
         k = len(r)
         # rows[:, (c - 1) * k + j] = the digit-plane rows of c * R_j
         rows = _digit_planes(f, f.vmul(np.arange(1, q)[:, None, None],
-                                       r[None]).reshape(-1, n), n)
+                                       r[None]).reshape(-1, n))
         rows = rows.reshape(-1, rows.shape[-1])
         table = np.concatenate([np.zeros_like(rows[:, :1]), rows], axis=1)
         cols = table.shape[1]
         step = max(1, _SEARCH_BYTES // (row_bytes * cols))
-        syn = None
+        syndromes, syn = None, None
+        if h1 is not None:
+            def syndromes(c):   # syn[t]: the syndrome of table column t
+                nonlocal syn
+                if syn is None:
+                    s = _syndromes(r, piv, h1[perm], f)
+                    cs = f.vmul(np.arange(1, q)[:, None, None], s[None])
+                    syn = np.concatenate([np.zeros_like(s[:1]),
+                                          cs.reshape(-1, s.shape[1])])
+                # R_a is table column 1 + a
+                return f.vadd(syn[1 + c // cols], syn[c % cols])
         for i in range(0, k, step):
             block = add(rows[:, i:min(i + step, k), None], table[:, None])
             block = block.reshape(len(table), -1)
-            weights = _weights(f, block, n, wc, relative=False)
-            weights[weights == 0] = n + 1
-            while (w := int(weights.min())) < best_w:
-                hits = np.flatnonzero(weights == w)
-                if h1 is not None:
-                    if syn is None:   # syn[t] = the syndrome of table[:, t]
-                        s = _syndromes(r, piv, h1[perm], f)
-                        cs = f.vmul(np.arange(1, q)[:, None, None], s[None])
-                        syn = np.concatenate([np.zeros_like(s[:1]),
-                                              cs.reshape(-1, s.shape[1])])
-                    # hit = row R_a (table column 1 + a) plus table column t
-                    outside = f.vadd(syn[1 + i + hits // cols],
-                                     syn[hits % cols]).any(axis=1)
-                    if not outside.any():
-                        weights[hits] = n + 1
-                        continue
-                    hits = hits[outside]
-                best_w, best = w, np.empty(n, dtype=np.int64)
-                best[perm] = _word(f, block[:, hits[0]], n, wc)
+            hit = _lightest_outside(_weights(f, block, n), best_w, n,
+                                    syndromes, i * cols)
+            if hit is not None:
+                best_w, best = hit[0], np.empty(n, dtype=np.int64)
+                best[perm] = _word(f, block[:, hit[1]], n)
             if best_w <= target:
                 return best_w, best
     return best_w, best

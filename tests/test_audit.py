@@ -118,6 +118,21 @@ def test_bch_examples_with_exact_distances_are_confirmed(monkeypatch):
     assert rows["[[31,14,{7,3}]]_16"].status == "formula-consistent"
 
 
+@pytest.mark.parametrize("target", ["table3", "examples"])
+def test_bch_audits_forward_their_cap(target, monkeypatch):
+    """Every lemma_bch1 call of the Table 3 and examples audits receives
+    the audit's cap, not the default."""
+    lemma_bch1, caps = quantum.lemma_bch1, []
+
+    def spy(m, delta1, delta2, cap=quantum.DEFAULT_CAP):
+        caps.append(cap)
+        return lemma_bch1(m, delta1, delta2, cap)
+
+    monkeypatch.setattr(quantum, "lemma_bch1", spy)
+    audit.audit_table(target, cap=12345)
+    assert caps and set(caps) == {12345}
+
+
 def test_report_json_and_lines():
     report = audit.audit_table("table3")
     out = report.to_json()

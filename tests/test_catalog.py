@@ -6,9 +6,8 @@ import pytest
 
 from qct import catalog
 from qct.catalog import KINDS, Catalog, payload_id
-from qct.errors import FieldError, QctError
+from qct.errors import QctError
 from qct.families import rs_code
-from qct.galois import prime_power
 
 
 def test_put_is_idempotent(tmp_path):
@@ -328,25 +327,33 @@ def test_unterminated_last_line_covered_by_index_then_put(tmp_path):
         Catalog(str(path))
 
 
+def _is_power(q, p, e) -> bool:
+    """Whether q = p^e for integers p >= 2 and e, by repeated division of
+    q by p: no power is formed, and no size cap applies."""
+    if not (isinstance(p, int) and isinstance(e, int) and p >= 2):
+        return False
+    count = 0
+    while q > 1 and q % p == 0:
+        q //= p
+        count += 1
+    return q == 1 and count == e
+
+
 def _old_search(entries, n=None, k=None, q=None, dz_min=None, dx_min=None):
-    """The search predicate over parsed payloads, as it was before the
-    index: the reference the row filter must agree with."""
-    try:
-        pe = None if q is None else prime_power(q)
-    except FieldError:
-        pe = None
+    """The search predicate over parsed payloads, one entry at a time: the
+    reference the row filter must agree with.  A payload without a q key
+    matches q when its field record's p^e is q."""
     hits = []
     for entry in entries:
         p = entry.payload
         field = p.get("field")
-        field_pe = ((field.get("p"), field.get("e"))
-                    if isinstance(field, dict) else None)
         if n is not None and p.get("n") != n:
             continue
         if k is not None and p.get("k") != k:
             continue
-        if q is not None and (p["q"] != q if "q" in p
-                              else pe is None or field_pe != pe):
+        if q is not None and (p["q"] != q if "q" in p else not (
+                isinstance(field, dict)
+                and _is_power(q, field.get("p"), field.get("e")))):
             continue
         if dz_min is not None and (p.get("dz") or 0) < dz_min:
             continue
@@ -366,6 +373,8 @@ EDGE_PAYLOADS = [
     {"n": 7, "k": 5, "field": {"p": None, "e": 1}, "dz": 4},
     {"n": MAX, "k": -MAX, "q": 4, "dz": MAX, "dx": -MAX},
     {"n": -MAX, "q": -MAX, "dz": -MAX, "dx": MAX},
+    # a field above galois.SIZE_CAP, matched by q = 2^20 all the same
+    {"n": 7, "k": 3, "field": {"p": 2, "e": 20}},
 ]
 
 
@@ -399,7 +408,8 @@ def test_index_states_give_identical_answers(tmp_path):
                 dict(n=MAX + 1), dict(k=-MAX - 1), dict(q=-MAX - 1),
                 dict(q=2, k=2), dict(q=2, n=7, dz_min=4), dict(dz_min=MAX),
                 dict(dz_min=-MAX), dict(dx_min=MAX + 1),
-                dict(dx_min=-MAX - 1, n=7)]
+                dict(dx_min=-MAX - 1, n=7), dict(q=1 << 20),
+                dict(q=(1 << 20) + 1)]
     # a dict keyed by id: each id at its first line, with its last line
     want = {}
     for line in path.read_bytes().splitlines():
@@ -425,10 +435,11 @@ def test_index_states_give_identical_answers(tmp_path):
     assert stale == present == missing
     assert sum(map(len, stale[2])) > 40
     # the fixed queries: MAX keys match, keys past MAX (-2^63 among them,
-    # a row's null) match nothing, and a floor of -MAX passes every entry,
-    # 130 after the 3 repeated ids
+    # a row's null) match nothing, a floor of -MAX passes every entry, 132
+    # after the 3 repeated ids, q = 2^20 finds both GF(2^20) records and
+    # 2^20 + 1 = 17 * 61681, not a prime power, finds nothing
     assert [len(hits) for hits in stale[2][40:]] == [2, 2, 2, 0, 0, 0, 6, 6,
-                                                      2, 130, 0, 50]
+                                                      2, 132, 0, 52, 2, 0]
 
 
 @pytest.mark.parametrize("kind,payload,eid,put_error,line_error", [

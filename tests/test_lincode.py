@@ -180,6 +180,36 @@ def test_kernel_boundary_shapes(case, monkeypatch):
         assert lincode._enumerate(code, inner) == want[1]
 
 
+@pytest.mark.parametrize("case", ["GF2-syndrome-in-two-words",
+                                  "GF16-four-planes", "GF9-odd-two-planes"])
+def test_relative_walk_builds_codeword_planes(case, monkeypatch):
+    """A relative walk holds the n codeword digits only: every _digit_planes
+    call of _enumerate(c2, c1) has trailing width n, and S = G2.H1^T is
+    one _syndromes product per walk, over one block or several."""
+    code, inner = BOUNDARY_CASES[case]()
+    planes, syndromes = lincode._digit_planes, lincode._syndromes
+    widths, products = [], []
+
+    def planes_spy(f, vals, *rest):
+        widths.append(vals.shape[-1])
+        return planes(f, vals, *rest)
+
+    def syndromes_spy(*args):
+        products.append(args)
+        return syndromes(*args)
+
+    monkeypatch.setattr(lincode, "_digit_planes", planes_spy)
+    monkeypatch.setattr(lincode, "_syndromes", syndromes_spy)
+    want = naive_first_minimum(code, inner)
+    for table_bytes in (lincode._TABLE_BYTES, 64):
+        monkeypatch.setattr(lincode, "_TABLE_BYTES", table_bytes)
+        widths.clear()
+        products.clear()
+        assert lincode._enumerate(code, inner) == want
+        assert widths and set(widths) == {code.n}
+        assert len(products) == 1
+
+
 def test_walk_over_budget_raises_before_the_table(monkeypatch):
     """A walk that would visit more words than _WALK_BUDGET raises
     SearchCapExceeded before any table is built; at the budget it runs.
@@ -445,8 +475,8 @@ def test_plane_adder_is_addition_mod_p(p):
         sample = np.random.default_rng(p).integers(0, p, 300)
         digits = np.unique(np.concatenate([digits[:3], digits[-3:], sample]))
     a, b = digits.repeat(len(digits)), np.tile(digits, len(digits))
-    pa = lincode._digit_planes(f, a, len(a))
-    pb = lincode._digit_planes(f, b, len(b))
+    pa = lincode._digit_planes(f, a)
+    pb = lincode._digit_planes(f, b)
     assert pa.dtype == pb.dtype and pa.dtype.kind == "u"
     s = lincode._plane_adder(p)(pa, pb)
     assert s.dtype == pa.dtype

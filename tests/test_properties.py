@@ -2,9 +2,10 @@
 versus matrix Hermitian duals, enumeration versus a naive weight oracle, the
 Hermitian CSS pair versus naive relative weights, the witness search versus
 enumeration, the vectorized elimination versus a per-row reference, the
-one-product matmul and reduce_vector versus the loops they replaced, and the
+one-product matmul and reduce_vector versus the loops they replaced, the
 scalar-class walk of the enumeration kernel and its stop at a BCH design
-distance versus the naive first-minimum oracle."""
+distance versus the naive first-minimum oracle, and the enumerated distance
+of random cyclic codes between their BCH and Singleton bounds."""
 
 import itertools
 from unittest import mock
@@ -263,6 +264,35 @@ def test_early_stop_against_naive_oracle(spec, table_bytes, data):
             if inner is not None:
                 assert (lincode._enumerate(code, inner)
                         == naive_first_minimum(code, inner))
+
+
+# -- Singleton and BCH bounds around the enumerated distance ------------------
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([2, 4]), st.data())
+def test_distance_between_bch_and_singleton_bounds(q, data):
+    """Random q-closed cyclic defining sets T over GF(2) and GF(4), n <= 21
+    and q^k <= 2^12: the enumerated distance d, checked against the naive
+    oracle, satisfies n - k + 1 >= d >= bch_bound(T), the design distance
+    at which the walk stops.  T is the complement of a random union of
+    cyclotomic cosets of at most log_q(2^12) exponents, the roots of the
+    check polynomial.  n = 19 is left out: its roots of unity lie in
+    GF(2^18), above the field size cap."""
+    f = build_field(2, q.bit_length() - 1)
+    n = data.draw(st.sampled_from([n for n in range(3, 22, 2) if n != 19]))
+    cosets = sorted({polyalg.cyclotomic_coset(n, q, s) for s in range(n)})
+    budget = data.draw(st.integers(1, 12 // f.e))
+    free = set()
+    for coset in data.draw(st.permutations(cosets)):
+        if len(free) + len(coset) <= budget:
+            free.update(coset)
+    t = polyalg.defining_set_closure(set(range(n)) - free, "cyclic", n, q)
+    k = n - len(t.exponents)
+    assert 1 <= k == len(free) and q ** k <= 2 ** 12
+    code = families.cyclic_code_from_defining_set(t, f)
+    d = min_distance(code)
+    assert d.exact and (d.value, d.witness) == naive_first_minimum(code)
+    assert n - k + 1 >= d.value >= polyalg.bch_bound(t) == code.design_distance
 
 
 # -- witness search versus enumeration ---------------------------------------
