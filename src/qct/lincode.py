@@ -26,12 +26,14 @@ witness is still the first minimum-weight codeword in message-index order.
 A walk that would visit more than _WALK_BUDGET words raises
 SearchCapExceeded before its table is built.
 
-Both walks, this one and the search below, hold the n codeword digits only
-and pick each block's winner by one rule, _lightest_outside: the first word
-of the least weight below the best so far whose syndrome x.H1^T is nonzero
-(so it lies outside C1), the syndromes formed for would-be winners only;
-weight 0 counts as n + 1.  Here the syndrome of message m is its digits
-times S = G2.H1^T, one product per walk.
+Both walks, this one and the search below, weigh blocks of the n codeword
+digits only and pick each block's winner by one rule, _lightest_outside:
+the first nonzero word of the least weight below the best so far whose
+syndrome x.H1^T is nonzero (so it lies outside C1).  Only a block with a
+lighter word tests syndromes: like the codeword, a word's syndrome is a sum
+of two columns of digit planes, nonzero where one differs from the other
+negated.  Here S = G2.H1^T is one product per walk, its planes tabulated
+below each low message's codeword planes; the table's size counts both.
 
 The walk stops after the first block that leaves its best weight at the
 code's design distance (1 when there is none), a certified lower bound; a
@@ -338,40 +340,38 @@ def _plane_adder(p: int):
     return add
 
 
-def _weights(f: Field, block: np.ndarray, n: int) -> np.ndarray:
+def _weights(f: Field, block: np.ndarray, n: int,
+             scratch: np.ndarray | None = None) -> np.ndarray:
     """Hamming weights of the length-n words in the columns of a word-major
     block (e.W, R), as np.min_scalar_type(n + 1).
 
     The planes are ORed row by row; a weight is a sum of popcounts over the
     W words (p = 2) or a count of the nonzero digits (odd p), both over
-    contiguous rows."""
+    contiguous rows; for odd p a free `scratch` block takes the marks."""
     nz = reduce(np.bitwise_or, block.reshape(f.e, -1, block.shape[-1]))
     dtype = np.min_scalar_type(n + 1)
     if f.p != 2:
-        return (nz != 0).sum(axis=0, dtype=dtype)
+        out = None if scratch is None else scratch[:len(nz)].view(bool)
+        return np.not_equal(nz, 0, out=out).sum(axis=0, dtype=dtype)
     weights = np.bitwise_count(nz[0]).astype(dtype, copy=False)
     for w in range(1, len(nz)):
         weights += np.bitwise_count(nz[w])
     return weights
 
 
-def _lightest_outside(weights: np.ndarray, best_w: int, n: int, syndromes,
-                      first: int):
-    """(weight, column) of the first column of the least weight below
-    best_w whose syndrome is nonzero, or None.  Column c is candidate
-    first + c of its walk, and syndromes(first + cols) has one row per
-    column; with no `syndromes`, every column counts.  One weight is tested
-    at a time, lightest first; a weight of zero words, or of words all in
-    C1, is set to n + 1 in `weights` and the next is tried."""
-    while (w := int(weights.min())) < best_w:
-        hits = np.flatnonzero(weights == w)
-        if w:
-            won = (hits if syndromes is None
-                   else hits[syndromes(first + hits).any(axis=1)])
-            if len(won):
-                return w, int(won[0])
-        weights[hits] = n + 1
-    return None
+def _lightest_outside(weights: np.ndarray, best_w: int, outside):
+    """(weight, column) of the first nonzero word of the least weight below
+    best_w in a block, or None.  With `outside`, a word counts only if it
+    lies outside C1: outside() marks those words of the block, and it is
+    called only when some word is lighter than best_w."""
+    light = (weights < best_w) & (weights > 0)
+    if not light.any():
+        return None
+    if outside is not None:
+        light &= outside()
+    weights = np.where(light, weights, best_w)
+    c = int(np.argmin(weights))
+    return (int(weights[c]), c) if weights[c] < best_w else None
 
 
 def _word(f: Field, column: np.ndarray, n: int) -> np.ndarray:
@@ -394,9 +394,15 @@ def _enumerate(code: LinearCode, exclude: LinearCode | None):
     p, q = f.p, f.order
     g = code.matrix
     k, n = g.shape
-    # scaled[:, c, j] = the digit-plane rows of c * row j
-    scaled = _digit_planes(f, f.vmul(np.arange(q)[:, None, None], g[None]))
-    scaled = scaled.reshape(-1, q, k)
+    mats = [g]
+    if exclude is not None:   # S = G.H1^T: row j's syndrome digits
+        mats.append(_syndromes(g, code.pivots, exclude.parity_check().T, f))
+    # scaled[:, c, j] = the digit-plane rows of c * row j: the m codeword
+    # rows, then those of its syndrome
+    planes = [_digit_planes(f, f.vmul(np.arange(q)[:, None, None], a[None]))
+              .reshape(-1, q, k) for a in mats]
+    m = len(planes[0])
+    scaled = np.concatenate(planes)
     add = _plane_adder(p)
 
     t = 1
@@ -407,35 +413,33 @@ def _enumerate(code: LinearCode, exclude: LinearCode | None):
         raise SearchCapExceeded(
             f"enumerating {code!r}: the walk visits up to {words} words, "
             f"over the budget {_WALK_BUDGET}")
-    syndromes = None
-    if exclude is not None:
-        s = _syndromes(g, code.pivots, exclude.parity_check().T, f)
-        # every message index is below (q - 1).words <= 2^50: int64 digits
-        powers = q ** np.arange(k)
-
-        def syndromes(m):   # messages m: their digits times S
-            return gflinalg.matmul(m[:, None] // powers % q, s, f)
     # table[:, m] = the digit-plane rows of low message m, one per column
     table = scaled[:, :, 0]
     for j in range(1, t):
         table = add(scaled[:, :, j, None], table[:, None])
         table = table.reshape(len(table), -1)
     table = np.ascontiguousarray(table)
+    table, syn = table[:m], table[m:]   # two contiguous views
     buf = np.empty_like(table)
     tmp = None if p == 2 else np.empty_like(table)
+    outside = None
+    if exclude is not None:
+        def outside():   # syn column + offset part != 0: column != -offset
+            neg = off[m:] if p == 2 else (p - off[m:]) % p
+            out = None if p == 2 else tmp[:len(syn)].view(bool)
+            return np.not_equal(syn, neg[:, None], out=out).any(axis=0)
 
     best_w, best = n + 1, None
     # one member per scalar class: a nonzero high message whose top digit is 1
     highs = chain([0], *(range(q ** j, 2 * q ** j) for j in range(k - t)))
     for h in highs:
-        off = np.zeros(len(table), table.dtype)
+        off = np.zeros(len(scaled), table.dtype)
         for j in range(t, k):
             d = h // q ** (j - t) % q
             if d:
                 off = add(off, scaled[:, d, j])
-        add(table, off[:, None], out=buf, tmp=tmp)
-        hit = _lightest_outside(_weights(f, buf, n), best_w, n, syndromes,
-                                h * q ** t)
+        add(table, off[:m, None], out=buf, tmp=tmp)
+        hit = _lightest_outside(_weights(f, buf, n, tmp), best_w, outside)
         if hit is not None:
             best_w, best = hit[0], buf[:, hit[1]].copy()
         if best_w <= floor:
@@ -480,6 +484,15 @@ def _search_perms(n: int) -> tuple:
     return tuple(perms)
 
 
+def _multiples(f: Field, a: np.ndarray) -> np.ndarray:
+    """The word-major digit-plane rows of 0 and of every c.a_j, c != 0:
+    column 1 + (c - 1).k + j holds c times row j of a (k rows)."""
+    cs = f.vmul(np.arange(1, f.order)[:, None, None], a[None])
+    planes = _digit_planes(f, cs.reshape(-1, a.shape[1]))
+    planes = planes.reshape(-1, planes.shape[-1])
+    return np.concatenate([np.zeros_like(planes[:, :1]), planes], axis=1)
+
+
 def _witness_search(code: LinearCode, exclude: LinearCode | None,
                     target: int):
     """Lee-Brickell search with p <= 2 (Lee & Brickell 1988).
@@ -487,24 +500,24 @@ def _witness_search(code: LinearCode, exclude: LinearCode | None,
     Each of _SEARCH_SETS information sets comes from one column order of
     _search_perms and the systematic generator R of _systematic, one rref
     of the smaller of G and H.  Every word R_a + c.R_j (c in GF(q), j any
-    row) is a candidate.  A block is a step of rows R_a against a table of
-    0 and every c.R_j, in one broadcast add of n-digit planes; candidate
-    a.cols + t of a set is R_a plus table column t.  _lightest_outside
-    picks each block's winner, through syndromes s_a + c.s_j, with
+    row) is a candidate.  A block is a step of rows R_a against the table
+    _multiples(R) of 0 and every c.R_j, in one broadcast add of n-digit
+    planes; candidate a.cols + t of a set is R_a plus table column t.
+    _lightest_outside picks each block's winner.  The syndrome of
+    candidate R_a + c.R_j is the same sum over _multiples(s), with
     s = _syndromes(R, J, H1^T[perm]) for the information set J and the
-    parity check H1 of `exclude`, one product per set, made when the set
-    first needs it.  Blocks are sized for n + (n - k1) digits a candidate,
-    and the search stops after the first block that leaves its weight at
-    `target`, so that partition decides which word a stop returns.  Returns
-    (weight, word), the word in the code's own coordinates.  Rows whose
-    int64 digits would take more than _SEARCH_ROWS_BUDGET bytes raise
-    SearchCapExceeded before any set."""
+    parity check H1 of `exclude`: one product per set, made when the set
+    first has a block to test.  Blocks are sized for n + (n - k1)
+    digits a candidate, and the search stops after the first block that
+    leaves its weight at `target`, so that partition decides which word a
+    stop returns.  Returns (weight, word), the word in the code's own
+    coordinates.  Rows whose int64 digits would take more than
+    _SEARCH_ROWS_BUDGET bytes raise SearchCapExceeded before any set."""
     f = code.field
     n, q = code.n, f.order
     h1 = None if exclude is None else exclude.parity_check().T
     add = _plane_adder(f.p)
-    # the budget and the block size count n codeword and n - k1 syndrome
-    # digits, though candidates hold only the codeword digits
+    # the budget and the block size count codeword and syndrome digits
     widths = (n,) if h1 is None else (n, h1.shape[1])
     need = (q - 1) * code.k * f.e * sum(widths) * 8
     if need > _SEARCH_ROWS_BUDGET:
@@ -517,29 +530,23 @@ def _witness_search(code: LinearCode, exclude: LinearCode | None,
     for perm in _search_perms(n):
         r, piv = _systematic(code, perm)
         k = len(r)
-        # rows[:, (c - 1) * k + j] = the digit-plane rows of c * R_j
-        rows = _digit_planes(f, f.vmul(np.arange(1, q)[:, None, None],
-                                       r[None]).reshape(-1, n))
-        rows = rows.reshape(-1, rows.shape[-1])
-        table = np.concatenate([np.zeros_like(rows[:, :1]), rows], axis=1)
+        table = _multiples(f, r)   # R_a is table column 1 + a
         cols = table.shape[1]
         step = max(1, _SEARCH_BYTES // (row_bytes * cols))
-        syndromes, syn = None, None
+        outside, syn = None, None
         if h1 is not None:
-            def syndromes(c):   # syn[t]: the syndrome of table column t
+            def outside():   # R_a's syndrome column != -(table column)
                 nonlocal syn
                 if syn is None:
-                    s = _syndromes(r, piv, h1[perm], f)
-                    cs = f.vmul(np.arange(1, q)[:, None, None], s[None])
-                    syn = np.concatenate([np.zeros_like(s[:1]),
-                                          cs.reshape(-1, s.shape[1])])
-                # R_a is table column 1 + a
-                return f.vadd(syn[1 + c // cols], syn[c % cols])
+                    syn = _multiples(f, _syndromes(r, piv, h1[perm], f))
+                neg = syn if f.p == 2 else (f.p - syn) % f.p
+                return (syn[:, 1 + i:1 + min(i + step, k), None]
+                        != neg[:, None]).any(axis=0).reshape(-1)
         for i in range(0, k, step):
-            block = add(rows[:, i:min(i + step, k), None], table[:, None])
+            block = add(table[:, 1 + i:1 + min(i + step, k), None],
+                        table[:, None])
             block = block.reshape(len(table), -1)
-            hit = _lightest_outside(_weights(f, block, n), best_w, n,
-                                    syndromes, i * cols)
+            hit = _lightest_outside(_weights(f, block, n), best_w, outside)
             if hit is not None:
                 best_w, best = hit[0], np.empty(n, dtype=np.int64)
                 best[perm] = _word(f, block[:, hit[1]], n)

@@ -153,6 +153,31 @@ def _two_syndrome_words():
     return LinearCode(F2, rows), LinearCode(F2, ones[None])
 
 
+def _light_inner_pair(p, e):
+    """A [14,6] code over a [14,4] subcode of weight-2 words along a path
+    of 5 positions.  Two more rows, ones on the other 9 positions and on 5
+    of them, put every word outside the subcode at weight 4 or more, so a
+    walk passes many lighter words of C1."""
+    f = build_field(p, e)
+    path = np.zeros((4, 14), dtype=np.int64)
+    for i in range(4):
+        path[i, i], path[i, i + 1] = 1, f.neg(1)
+    extra = np.zeros((2, 14), dtype=np.int64)
+    extra[0, 5:], extra[1, 5:10] = 1, 1
+    return LinearCode(f, np.concatenate([path, extra])), LinearCode(f, path)
+
+
+def _mixed_inner_pair(q, n, k, seed):
+    """A random [n,k]_q code over a subcode spanned by two random words of
+    it, so that words of the subcode mix the low and the high rows of a
+    walk and their syndromes cancel across a block's offset."""
+    f, rng = field_from_q(q), np.random.default_rng(seed)
+    mat = rng.integers(0, q, (k, n)) * (rng.random((k, n)) < 0.6)
+    code = LinearCode(f, mat)
+    mix = rng.integers(0, q, (2, k))
+    return code, LinearCode(f, gflinalg.matmul(mix, code.matrix, f))
+
+
 BOUNDARY_CASES = {
     # the codeword ends just before, at and after a uint64 word
     **{f"GF{q}-n{n}": (lambda q=q, n=n, k=k: _random_boundary_pair(q, n, k, n))
@@ -164,6 +189,12 @@ BOUNDARY_CASES = {
     # weights and the marker n + 1 past uint8
     "GF2-n255": lambda: _heavy_pair(255, 200),
     "GF2-n300": lambda: _heavy_pair(300, 150),
+    # C1 words lighter than wt(C2 \ C1), in many blocks at 64 bytes
+    **{f"GF{p ** e}-light-inner": (lambda p=p, e=e: _light_inner_pair(p, e))
+       for p, e in ((2, 1), (3, 1), (2, 2))},
+    # odd p: a syndrome cancels its offset only when negated digit by digit
+    "GF5-mixed-inner": lambda: _mixed_inner_pair(5, 10, 4, 6),
+    "GF9-mixed-inner": lambda: _mixed_inner_pair(9, 10, 3, 6),
 }
 
 
@@ -183,12 +214,15 @@ def test_kernel_boundary_shapes(case, monkeypatch):
 @pytest.mark.parametrize("case", ["GF2-syndrome-in-two-words",
                                   "GF16-four-planes", "GF9-odd-two-planes"])
 def test_relative_walk_builds_codeword_planes(case, monkeypatch):
-    """A relative walk holds the n codeword digits only: every _digit_planes
-    call of _enumerate(c2, c1) has trailing width n, and S = G2.H1^T is
-    one _syndromes product per walk, over one block or several."""
+    """A relative walk weighs blocks of the n codeword digits only.  The
+    digit planes are made once per walk, those of the codeword rows
+    (width n) and those of their syndromes S = G2.H1^T (width n - k1), and
+    S is one _syndromes product per walk, over one block or several."""
     code, inner = BOUNDARY_CASES[case]()
     planes, syndromes = lincode._digit_planes, lincode._syndromes
-    widths, products = [], []
+    weights = lincode._weights
+    codeword_rows = planes(code.field, np.zeros(code.n, np.int64)).size
+    widths, products, blocks = [], [], []
 
     def planes_spy(f, vals, *rest):
         widths.append(vals.shape[-1])
@@ -198,16 +232,23 @@ def test_relative_walk_builds_codeword_planes(case, monkeypatch):
         products.append(args)
         return syndromes(*args)
 
+    def weights_spy(f, block, *rest):
+        blocks.append(len(block))
+        return weights(f, block, *rest)
+
     monkeypatch.setattr(lincode, "_digit_planes", planes_spy)
     monkeypatch.setattr(lincode, "_syndromes", syndromes_spy)
+    monkeypatch.setattr(lincode, "_weights", weights_spy)
     want = naive_first_minimum(code, inner)
     for table_bytes in (lincode._TABLE_BYTES, 64):
         monkeypatch.setattr(lincode, "_TABLE_BYTES", table_bytes)
         widths.clear()
         products.clear()
+        blocks.clear()
         assert lincode._enumerate(code, inner) == want
-        assert widths and set(widths) == {code.n}
+        assert widths == [code.n, code.n - inner.k]
         assert len(products) == 1
+        assert blocks and set(blocks) == {codeword_rows}
 
 
 def test_walk_over_budget_raises_before_the_table(monkeypatch):
