@@ -1,7 +1,8 @@
 """Finite fields GF(p^e), subfield embeddings, trace maps and (self-)dual bases.
 
 Elements are plain integers in [0, p^e): the base-p digits of an element are
-the coefficients of its polynomial representative, constant term first.  All
+the coefficients of its polynomial representative, constant term first,
+and only `Field.digits` and `Field.from_digits` convert one to the other.  All
 fields are built deterministically: the modulus is the lexicographically
 smallest monic irreducible polynomial of the right degree and the generator
 is the smallest primitive element, so serialized artifacts are reproducible.
@@ -185,8 +186,8 @@ class Field:
     table and, for odd p, a q x q sum table and a negation table, built once
     from the log/antilog product and the base-p digits: `vmul`, `vadd` and
     `vneg` are then one lookup each (GF(2) multiplies by AND).  For
-    q > TABLE_MAX (e.g. GF(257), GF(512), GF(2^16)) `vmul` adds logs and
-    `vadd`/`vneg` work digit-wise in base p.
+    q > TABLE_MAX (e.g. GF(257), GF(729), GF(2^16)) `vmul` adds logs and,
+    for odd p, `vadd`/`vneg` add or negate `digits` mod p.
 
     The parameters are validated before any table is built: integers with
     e >= 1 and p^e <= SIZE_CAP (checked before p is tested for primality),
@@ -201,6 +202,7 @@ class Field:
         self.p = p
         self.e = e
         self.order = p ** e
+        self._scale = p ** np.arange(e, dtype=np.int64)
         self.modulus = modulus
         if not _poly_is_irreducible(list(self.modulus), p):
             raise FieldError("modulus is reducible")
@@ -219,11 +221,8 @@ class Field:
             for i, image in enumerate(images):
                 times_g ^= ((x >> i) & 1) * image
         else:
-            weights = p ** np.arange(e, dtype=np.int64)
-            digits = (x[:, None] // weights) % p
-            image_digits = (np.array(images, dtype=np.int64)[:, None]
-                            // weights) % p
-            times_g = ((digits @ image_digits) % p) @ weights
+            times_g = self.from_digits(
+                self.digits(x) @ self.digits(images) % p)
         step = times_g.tolist()
         chain = [1]
         for _ in range(q - 2):
@@ -249,13 +248,14 @@ class Field:
             return a ^ b
         if self.e == 1:
             return (a + b) % self.p
-        return _pack([(x + y) % self.p for x, y in
-                      zip(_digits(a, self.p, self.e), _digits(b, self.p, self.e))], self.p)
+        return int(self.vadd(a, b))
 
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
-        return _pack([(-d) % self.p for d in _digits(a, self.p, self.e)], self.p)
+        if self.e == 1:
+            return -a % self.p
+        return int(self.vneg(a))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -276,6 +276,21 @@ class Field:
         return int(self.exp[(self.log[a] * k) % (self.order - 1)])
 
     # -- vectorized arithmetic on numpy int arrays ----------------------------
+    def digits(self, a) -> np.ndarray:
+        """The base-p digits of `a` (int64, constant term first) in a new
+        last axis, outermost in memory: work on digits runs along elements."""
+        a = np.asarray(a, dtype=np.int64)
+        place = (-1,) + (1,) * a.ndim
+        if self.p == 2:
+            d = (a >> np.arange(self.e).reshape(place)) & 1
+        else:
+            d = a // self._scale.reshape(place) % self.p
+        return d.transpose(*range(1, d.ndim), 0)
+
+    def from_digits(self, d) -> np.ndarray:
+        """The elements whose base-p digits lie in the last axis of `d`."""
+        return np.einsum("...i,i", d, self._scale)
+
     def vadd(self, a, b):
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
@@ -283,12 +298,8 @@ class Field:
             return np.bitwise_xor(a, b)
         if self._add_table is not None:
             return self._add_table[a, b]
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        pk = 1
-        for _ in range(self.e):
-            out += (((a // pk) % self.p + (b // pk) % self.p) % self.p) * pk
-            pk *= self.p
-        return out
+        s = self.digits(a) + self.digits(b)
+        return self.from_digits(np.remainder(s, self.p, out=s))
 
     def vneg(self, a):
         a = np.asarray(a, dtype=np.int64)
@@ -296,12 +307,7 @@ class Field:
             return a.copy()
         if self._neg_table is not None:
             return self._neg_table[a]
-        out = np.zeros(a.shape, dtype=np.int64)
-        pk = 1
-        for _ in range(self.e):
-            out += ((self.p - (a // pk) % self.p) % self.p) * pk
-            pk *= self.p
-        return out
+        return self.from_digits(-self.digits(a) % self.p)
 
     def vmul(self, a, b):
         a = np.asarray(a, dtype=np.int64)
@@ -441,24 +447,21 @@ class Embedding:
             raise FieldError("subfield modulus has no root in extension")
         self.root = int(roots[0])
         # a subfield element is the sum of its base-p digits times root^t
-        image = np.zeros(sub.order, dtype=np.int64)
+        powers = [ext.pow(self.root, t) for t in range(sub.e)]
         subs = np.arange(sub.order, dtype=np.int64)
-        for t in range(sub.e):
-            digit = (subs // sub.p ** t) % sub.p
-            image = ext.vadd(image, ext.vmul(digit, ext.pow(self.root, t)))
-        self.image = image
+        self.image = ext.from_digits(
+            sub.digits(subs) @ ext.digits(powers) % ext.p)
         self.preimage = np.full(ext.order, -1, dtype=np.int64)
-        self.preimage[image] = subs
+        self.preimage[self.image] = subs
 
     @cached_property
     def traces(self) -> np.ndarray:
         """Tr_{ext/sub}(x) = sum of x^(q^i), i < m, for every extension
-        element x, as subfield elements: m Frobenius steps over the field."""
-        xs = np.arange(self.ext.order, dtype=np.int64)
-        acc = np.zeros_like(xs)
-        for _ in range(self.m):
-            acc = self.ext.vadd(acc, xs)
+        element x, as subfield elements: m - 1 Frobenius steps."""
+        xs = acc = np.arange(self.ext.order, dtype=np.int64)
+        for _ in range(self.m - 1):
             xs = self.ext.vpow(xs, self.sub.order)
+            acc = self.ext.vadd(acc, xs)
         return self.down(acc)
 
     def down(self, x):

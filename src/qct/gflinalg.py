@@ -122,8 +122,8 @@ def matmul(a, b, field: Field):
     sums are exact while e.K.(p - 1)^2 < 2^53 for inner size K; since
     p^e <= SIZE_CAP = 2^16 keeps e.(p - 1)^2 below 2^32, every K < 2^21 is
     exact, and a K past the bound raises CodeError.  Temporaries are e
-    times the size of b and of the output: the digits of one x^s.b at a
-    time."""
+    times the size of a (all its digits), of b (the digits of one x^s.b at
+    a time) and of the output."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     (rows, inner), cols = a.shape, b.shape[1]
@@ -133,14 +133,12 @@ def matmul(a, b, field: Field):
     if e * inner * (p - 1) ** 2 >= 1 << 53:
         raise CodeError(f"matmul over {field} with inner size {inner}: float64 "
                         f"sums would not be exact")
-    scale = p ** np.arange(e)
+    planes = field.digits(a)
     acc = 0
-    for s in range(e):
-        digits = field.vmul(p ** s, b)[:, None] // scale[:, None] % p
-        acc = acc + (a // scale[s] % p) @ digits.reshape(
-            inner, e * cols).astype(np.float64)
-    out = acc.astype(np.int64).reshape(rows, e, cols) % p
-    return (out * scale[:, None]).sum(axis=1)
+    for s in range(e):   # digit t of x^s.b is digits[t], no copy
+        digits = field.digits(field.vmul(p ** s, b)).transpose(2, 0, 1)
+        acc = acc + planes[..., s] @ digits.astype(np.float64)
+    return field.from_digits(acc.astype(np.int64).transpose(1, 2, 0) % p)
 
 
 def inv_matrix(mat, field: Field):

@@ -67,7 +67,7 @@ complement reversed back is already the rref of the null space.
 Containment is one product, v - v[:, P].R (gflinalg.reduce_vector).
 
 A basis expansion reads a whole-field coordinate table, built once per
-basis by one GF(p) product, with one lookup for all generator rows.
+basis from the trace-dual basis, with one lookup for all generator rows.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ import numpy as np
 
 from . import gflinalg
 from .errors import CodeError, PreconditionError, SearchCapExceeded
-from .galois import ExtensionBasis, Field, build_field, field_from_json
+from .galois import ExtensionBasis, Field, field_from_json, find_dual_basis
 
 DEFAULT_CAP = 1 << 24
 _TABLE_BYTES = 1 << 18   # low-row combination table of _enumerate
@@ -266,11 +266,19 @@ class LinearCode:
 def code_from_json(rec: dict) -> LinearCode:
     """A code from its JSON record.  Nothing stored is trusted: min_distance
     derives a `distance` block again, and a stored design distance is only
-    declared, since a record cannot prove it.  Design and declared distances
-    must lie in 1..n-k+1 (Singleton); the larger becomes the declared
-    distance.  A generator of rank 0 is refused."""
+    declared, since a record cannot prove it.  Generator entries, k and the
+    stored distances must be integers (TypeError).  Design and declared
+    distances must lie in 1..n-k+1 (Singleton); the larger becomes the
+    declared distance.  A generator of rank 0 is refused."""
     f = field_from_json(rec["field"])
-    c = LinearCode(f, rec["generator"], provenance=rec.get("provenance", ""))
+    for key in ("k", "design_distance", "declared_distance"):
+        if rec.get(key) is not None and type(rec[key]) is not int:
+            raise TypeError(f"record {key} {rec[key]!r} is not an integer")
+    rows = np.asarray(rec["generator"])   # floats, strings, huge: not "i"
+    if rows.size and (rows.dtype.kind != "i" or (rows.ndim == 2 and any(
+            isinstance(x, bool) for x in chain(*rec["generator"])))):
+        raise TypeError(f"generator entries must be integers below {f.order}")
+    c = LinearCode(f, rows, provenance=rec.get("provenance", ""))
     if c.k == 0:
         raise CodeError("generator matrix must be a non-empty 2-d array")
     if rec.get("k") is not None and c.k != rec["k"]:
@@ -305,18 +313,18 @@ def _digit_planes(f: Field, vals: np.ndarray) -> np.ndarray:
     Plane and word lead, so for vectors in the trailing axes every (plane,
     word) pair is one row, and a (e.W, R) reshape of a block is a view.
     For p = 2 each plane is packed little-endian into W = ceil(n / 64)
-    uint64 words: the bits are written into one zeroed uint8 array of the
-    padded width and packed by one packbits.  For odd p, W = n and each
-    digit is the smallest unsigned integer that holds 2(p - 1), the sum of
-    two digits (see _plane_adder).
+    uint64 words: the bits of f.digits are written into one zeroed uint8
+    array of the padded width and packed by one packbits.  For odd p, W = n
+    and each digit is the smallest unsigned integer that holds 2(p - 1), the
+    sum of two digits (see _plane_adder).
     """
+    digits = f.digits(vals)   # (..., n, e)
     if f.p != 2:
-        digits = (vals[..., None, :] // f.p ** np.arange(f.e)[:, None]) % f.p
         planes = digits.astype(np.min_scalar_type(2 * (f.p - 1)))
-        return np.moveaxis(planes, (-2, -1), (0, 1))
+        return np.moveaxis(planes, (-1, -2), (0, 1))
     n = vals.shape[-1]
     bits = np.zeros((*vals.shape[:-1], f.e, 64 * -(-n // 64)), dtype=np.uint8)
-    bits[..., :n] = (vals[..., None, :] >> np.arange(f.e)[:, None]) & 1
+    bits[..., :n] = digits.swapaxes(-1, -2)
     planes = np.packbits(bits, axis=-1, bitorder="little").view("<u8")
     return np.moveaxis(planes, (-2, -1), (0, 1))
 
@@ -380,8 +388,7 @@ def _word(f: Field, column: np.ndarray, n: int) -> np.ndarray:
     if f.p == 2:
         digits = np.unpackbits(digits.copy().view(np.uint8), axis=-1,
                                bitorder="little")[:, :n]
-    scale = (f.p ** np.arange(f.e))[:, None]
-    return (digits.astype(np.int64) * scale).sum(axis=0)
+    return f.from_digits(digits.T)
 
 
 def _enumerate(code: LinearCode, exclude: LinearCode | None):
@@ -651,24 +658,15 @@ def mds_witness(code: LinearCode) -> tuple:
 
 @lru_cache(maxsize=None)
 def _coordinates(basis: ExtensionBasis) -> np.ndarray:
-    """The coordinates of every extension element in `basis`, as a
-    (q^m, m) table of subfield elements.  Column j of the GF(p) matrix A
-    holds the digits of u_t.a_i, j = i.s + t, for the embedded subfield
-    monomials u_t = p^t; the GF(p) coordinates of all elements are their
-    digits times A^-1, in one product."""
+    """The coordinates of every extension element x in `basis` a, as a
+    (q^m, m) table of subfield elements: x = sum_i Tr(x.b_i).a_i for the
+    trace-dual basis b (Lidl & Niederreiter, Finite Fields, ch. 2).  A
+    dependent basis has a singular Gram matrix: CodeError."""
     emb = basis.emb
-    sub, ext, m = emb.sub, emb.ext, emb.m
-    if len(basis.elements) != m:
+    if len(basis.elements) != emb.m:
         raise CodeError("basis size does not match extension degree")
-    p = ext.p
-    ext_weights = p ** np.arange(ext.e, dtype=np.int64)
-    units = emb.image[p ** np.arange(sub.e, dtype=np.int64)]
-    cols = ext.vmul(units, np.array(basis.elements, dtype=np.int64)[:, None])
-    a = (cols.reshape(-1) // ext_weights[:, None]) % p
-    ainv = gflinalg.inv_matrix(a, build_field(p, 1))
-    digits = (np.arange(ext.order, dtype=np.int64)[:, None] // ext_weights) % p
-    coords = (digits @ ainv.T) % p
-    table = coords.reshape(ext.order, m, sub.e) @ (p ** np.arange(sub.e))
+    dual = np.array(find_dual_basis(basis).elements, dtype=np.int64)
+    table = emb.traces[emb.ext.vmul(np.arange(emb.ext.order)[:, None], dual)]
     table.setflags(write=False)
     return table
 

@@ -326,7 +326,14 @@ def test_load_code_errors_exit_one(tmp_path, capsys):
     not_object.write_text("[1, 2]")
     bad_field = tmp_path / "badfield.json"
     bad_field.write_text('{"field": 3, "generator": [[1]]}')
-    for path in (missing, no_field, not_json, not_object, bad_field):
+    gf4 = '{"p": 2, "e": 2, "modulus": [1, 1, 1], "generator": 2}'
+    entries = []
+    for name, entry in (("float", "1.7"), ("string", '"1"'), ("bool", "true"),
+                        ("huge", str(10 ** 30))):
+        entries.append(tmp_path / f"entry-{name}.json")
+        entries[-1].write_text(f'{{"field": {gf4}, '
+                               f'"generator": [[{entry}, 0, 1], [0, 1, 1]]}}')
+    for path in (missing, no_field, not_json, not_object, bad_field, *entries):
         capsys.readouterr()
         assert run_cli(["code", "distance", str(path)]) == 1
         err = capsys.readouterr().err
@@ -352,7 +359,9 @@ def test_stored_distance_is_not_trusted(runner, tmp_path):
 
 @pytest.mark.parametrize("key,value", [("design_distance", 0),
                                        ("design_distance", 4),
-                                       ("declared_distance", 99)])
+                                       ("declared_distance", 99),
+                                       ("declared_distance", 1.5),
+                                       ("design_distance", True)])
 def test_out_of_range_distance_claim_exits_one(tmp_path, capsys, key, value):
     # rs[3,2]_4 has Singleton bound n - k + 1 = 2
     assert run_cli(["code", "build", "rs", "--q", "4", "--k", "2",

@@ -108,6 +108,34 @@ def test_lookup_tables_match_log_and_digit_oracles(f):
         assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
+DIGIT_FIELDS = [build_field(3, 6), build_field(5, 4), build_field(7, 3)]
+
+
+@pytest.mark.parametrize("f", DIGIT_FIELDS, ids=str)
+def test_digit_arithmetic_above_table_max(f):
+    """vadd, vneg and the scalar add and neg of odd fields with several
+    digits above TABLE_MAX, where no table exists, on seeded random pairs
+    against the digitwise oracles."""
+    assert f.order > galois.TABLE_MAX and f._add_table is None
+    rng = np.random.default_rng(f.order)
+    a, b = rng.integers(0, f.order, (2, 500))
+    assert np.array_equal(f.vadd(a, b), digit_sum(f, a, b))
+    assert np.array_equal(f.vadd(a[:20, None], b[:30]),
+                          digit_sum(f, a[:20, None], b[:30]))
+    assert np.array_equal(f.vneg(a), digit_neg(f, a))
+    assert [f.add(int(x), int(y)) for x, y in zip(a, b)] == \
+        digit_sum(f, a, b).tolist()
+    assert [f.neg(int(x)) for x in a] == digit_neg(f, a).tolist()
+
+
+@pytest.mark.parametrize("f", TABLE_FIELDS + DIGIT_FIELDS, ids=str)
+def test_digits_round_trip(f):
+    x = np.arange(f.order, dtype=np.int64)
+    d = f.digits(x)
+    assert d.shape == (f.order, f.e) and d.min() >= 0 and d.max() < f.p
+    assert np.array_equal(f.from_digits(d), x)
+
+
 def test_other_modulus_fields_are_not_the_cached_ones():
     assert all(f.modulus != build_field(f.p, f.e).modulus
                for f in OTHER_MODULUS)

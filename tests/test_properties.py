@@ -410,7 +410,7 @@ def matmul_scalar(a, b, field):
 
 
 @pytest.mark.parametrize("spec", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2),
-                                  (257, 1), (2, 9), (2, 16)])
+                                  (257, 1), (2, 9), (2, 16), (3, 6), (7, 3)])
 def test_rref_and_containment_match_per_row_oracles(spec):
     """Square, tall, wide and rank-deficient matrices; batched containment
     against word-by-word membership, on subcodes and on random codes."""
@@ -484,7 +484,7 @@ def matmul(a, b, field):
 
 
 PRODUCT_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (7, 2), (257, 1), (2, 9),
-                  (2, 16), (65521, 1)]
+                  (2, 16), (65521, 1), (3, 6), (7, 3)]
 
 
 @pytest.mark.parametrize("spec", PRODUCT_FIELDS)

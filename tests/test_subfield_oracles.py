@@ -153,7 +153,13 @@ def test_subfield_arrays_match_scalar_oracles(p, s, e):
     basis = standard_basis(emb)
     dual = find_dual_basis(basis)
     assert dual.elements == oracle_dual(basis.elements, sub, ext, up, tr)
-    for b in (basis, dual):
+    # a seeded random basis too, redrawn until its Gram matrix is invertible
+    rng = np.random.default_rng(p ** e + s)
+    while True:
+        drawn = tuple(rng.integers(1, ext.order, emb.m).tolist())
+        if gflinalg.rank(oracle_gram(drawn, ext, tr), sub) == emb.m:
+            break
+    for b in (basis, dual, ExtensionBasis(emb, drawn)):
         assert np.array_equal(b.gram(), oracle_gram(b.elements, ext, tr))
         assert np.array_equal(lincode._coordinates(b),
                               oracle_table(b.elements, sub, ext, up))
