@@ -8,6 +8,12 @@ an open range, as it certifies nothing.  A row is confirmed when some
 candidate pins all four entries to the claim, inconsistent when none holds
 the claim (a counterexample-search summary is attached), formula-consistent
 otherwise; unverifiable-at-scale is set for a splitting field beyond the cap.
+
+Table 2's candidates are the interval closures of one size, kept per length
+as bit masks grouped by size and built as defining sets only for the size a
+search reads.  A search walks one defining set per multiplier class: a fit
+whose T is a.T' (a a unit mod n) for a walked T' reuses that record, which
+must still meet the fit's own BCH bound, or CodeError is raised.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 from . import families, polyalg, quantum
-from .errors import FieldError, QctError
+from .errors import CodeError, FieldError, QctError
 from .galois import build_field
 from .lincode import DEFAULT_CAP, Bound
 
@@ -157,18 +163,18 @@ def audit_table1(cap: int = DEFAULT_CAP, threads: int = 1) -> VerificationReport
 # -- Table 2: punctured BCH codes over GF(4) ----------------------------------
 
 @lru_cache(maxsize=64)
-def _bch_interval_closures(n: int) -> tuple:
+def _interval_masks(n: int) -> dict:
     """The distinct GF(4) closures, not containing 0, of the exponent
-    intervals mod n that avoid 0, in (width, start) order of first
-    appearance.  A q-closed set is a union of cyclotomic cosets, so the
-    closure of [b, b + width) is the union of its members' GF(4) cosets,
-    each computed once as a bit mask; an interval that wraps contains 0, so
-    b runs over 1..n - width.  Cached: every Table 2 row of length n and its
-    off-by-one reading search the same list."""
+    intervals mod n that avoid 0, as bit masks grouped by size, each group
+    in (width, start) order of first appearance.  A q-closed set is a union
+    of cyclotomic cosets, so the closure of [b, b + width) is the union of
+    its members' GF(4) cosets, each computed once as a mask; an interval
+    that wraps contains 0, so b runs over 1..n - width.  Cached: every
+    Table 2 row of length n and its off-by-one reading search it."""
     coset = [sum(1 << s for s in polyalg.cyclotomic_coset(n, 4, x))
              for x in range(n)]
     span = [0] * n   # span[b]: closure mask of the current interval at b
-    out = []
+    by_size = {}
     seen = set()
     for width in range(1, n):
         for b in range(1, n - width + 1):
@@ -176,10 +182,17 @@ def _bch_interval_closures(n: int) -> tuple:
             if span[b] in seen:
                 continue
             seen.add(span[b])
-            out.append(polyalg.DefiningSet(
-                "cyclic", n, 4,
-                frozenset(s for s in range(n) if span[b] >> s & 1)))
-    return tuple(out)
+            by_size.setdefault(bin(span[b]).count("1"), []).append(span[b])
+    return {size: tuple(masks) for size, masks in by_size.items()}
+
+
+def _bch_interval_closures(n: int, size: int) -> list:
+    """The interval closures mod n of `_interval_masks` with `size`
+    exponents, as defining sets, in first-appearance order.  Only these are
+    built: a search for [n, k] reads the closures of size n - k alone."""
+    return [polyalg.DefiningSet("cyclic", n, 4,
+                                frozenset(s for s in range(n) if mask >> s & 1))
+            for mask in _interval_masks(n).get(size, ())]
 
 
 _OFF_BY_ONE = {"formula-consistent": " (weight beyond cap)",
@@ -189,24 +202,45 @@ _OFF_BY_ONE = {"formula-consistent": " (weight beyond cap)",
 
 def _table2_search(n: int, k: int, dz: int, cap: int):
     """Status and detail of [[n-1, k-1, {dz, 2}]]_4, the all-one record of a
-    punctured [n, k]_4 BCH code.  Before a candidate is built, its d_z lies
-    in [bch bound - 1, n - k]: its source's BCH bound less the punctured
+    punctured [n, k]_4 BCH code.  The candidates are the interval closures
+    of size n - k.  Before a candidate is built, its d_z lies in
+    [bch bound - 1, n - k]: its source's BCH bound less the punctured
     coordinate, and Singleton.  Candidates whose range holds the claim are
-    built in first-appearance order when 4^k <= cap, up to one that
-    confirms."""
+    read in first-appearance order when 4^k <= cap, up to one that confirms.
+
+    One walk per multiplier class: for a unit a of Z_n, the codes of T and
+    a.T are permutation-equivalent (coordinate i to a.i), and so are their
+    punctures, since every puncture of a cyclic code is equivalent to the
+    last.  A fit whose T is a.T' for an already walked T' is neither built
+    nor walked; it takes T''s record, which cannot confirm, as that same
+    (n, k, d_z, d_x) has already failed to.  Its d_z must still meet its own
+    bch bound - 1, or CodeError is raised, as the walk itself would."""
     claim = (n - 1, k - 1, dz, 2)
     cands = [(t, (n - 1, k - 1, Bound(polyalg.bch_bound(t) - 1, "lower_bound",
                                       "bch_bound", upper=n - k), 2))
-             for t in _bch_interval_closures(n) if len(t.exponents) == n - k]
+             for t in _bch_interval_closures(n, n - k)]
     fits = [(t, c) for t, c in cands
             if _classify(claim, [c]) != "inconsistent"]
     tried = []
+    walked = {}   # a.T for every unit a of Z_n -> the record walked for T
 
     def rebuilt():
-        for t, _ in fits:
-            code = families.cyclic_code_from_defining_set(t, build_field(2, 2))
-            tried.append((t, quantum.allone_aqc(code.puncture(), cap)))
-            yield tried[-1][1]
+        # one unit per coset of <4>: T is 4-closed, so a.T = 4a.T
+        units = {polyalg.cyclotomic_coset(n, 4, a)[0]
+                 for a in range(1, n) if math.gcd(a, n) == 1}
+        for t, (_, _, lower, _) in fits:
+            rec = walked.get(t.exponents)
+            if rec is None:
+                code = families.cyclic_code_from_defining_set(
+                    t, build_field(2, 2))
+                rec = quantum.allone_aqc(code.puncture(), cap)
+                for a in units:
+                    walked[frozenset(a * s % n for s in t.exponents)] = rec
+            elif rec.dz.value < lower.value:
+                raise CodeError(f"a codeword of weight {rec.dz.value} refutes "
+                                f"the bch_bound lower bound {lower.value}")
+            tried.append((t, rec))
+            yield rec
 
     try:
         status = _classify(claim, rebuilt() if 4 ** k <= cap

@@ -11,7 +11,7 @@ from math import gcd
 
 import numpy as np
 
-from . import lincode, polyalg
+from . import galois, lincode, polyalg
 from .errors import CodeError, FieldError, PreconditionError
 from .galois import Field, field_from_q
 from .lincode import LinearCode
@@ -86,9 +86,12 @@ def bch_dimension(n: int, q: int, delta: int) -> int:
 
 def simplex_and_c0(m: int) -> tuple[LinearCode, LinearCode]:
     """The binary simplex code S_m = [2^m-1, m, 2^(m-1)] and its cyclic
-    supercode C_0 = [2^m-1, m+1, 2^(m-1)-1] containing the all-one word."""
+    supercode C_0 = [2^m-1, m+1, 2^(m-1)-1] containing the all-one word.
+    Their splitting field GF(2^m) is built first, so an m beyond the size
+    cap raises FieldError before any set of 2^m - 1 exponents exists."""
     if m < 2:
         raise PreconditionError("simplex construction needs m >= 2")
+    galois.build_field(2, m)
     field = field_from_q(2)
     n = 2 ** m - 1
     cl_minus1 = set(polyalg.cyclotomic_coset(n, 2, n - 1))

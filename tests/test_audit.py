@@ -1,5 +1,8 @@
 import dataclasses
+import functools
+import math
 import os
+import random
 import subprocess
 import sys
 
@@ -7,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qct import audit, polyalg, quantum
-from qct.errors import QctError
-from qct.lincode import Bound
+from qct import audit, families, polyalg, quantum
+from qct.errors import CodeError, FieldError, QctError
+from qct.galois import build_field
+from qct.lincode import DEFAULT_CAP, Bound, min_distance
 
 
 def rows_by_claim(report):
@@ -25,6 +29,7 @@ def test_table1_all_confirmed():
                       "[[15,8,{5,2}]]_4", "[[15,10,{3,2}]]_4"}
 
 
+@functools.lru_cache(maxsize=None)
 def closures_by_defining_set_closure(n):
     """The closure list as built before the coset map: one
     defining_set_closure per interval, in (width, start) order."""
@@ -39,15 +44,154 @@ def closures_by_defining_set_closure(n):
                 continue
             seen.add(t.exponents)
             out.append(t)
-    return out
+    return tuple(out)
 
 
 def test_interval_closures_match_defining_set_closure():
     lengths = sorted({row[0] + 1 for row in audit.TABLE2_ROWS})
     assert lengths[0] == 15 and lengths[-1] == 65
     for n in lengths:
-        assert list(audit._bch_interval_closures(n)) == \
-            closures_by_defining_set_closure(n)
+        closures = closures_by_defining_set_closure(n)
+        for size in range(1, n):
+            assert audit._bch_interval_closures(n, size) == \
+                [t for t in closures if len(t.exponents) == size]
+
+
+def table2_search_oracle(n, k, dz, cap):
+    """The reference Table 2 search: the closures of
+    closures_by_defining_set_closure, every fit built and walked, with no
+    multiplier classes."""
+    claim = (n - 1, k - 1, dz, 2)
+    cands = [(t, (n - 1, k - 1, Bound(polyalg.bch_bound(t) - 1, "lower_bound",
+                                      "bch_bound", upper=n - k), 2))
+             for t in closures_by_defining_set_closure(n)
+             if len(t.exponents) == n - k]
+    fits = [(t, c) for t, c in cands
+            if audit._classify(claim, [c]) != "inconsistent"]
+    tried = []
+
+    def rebuilt():
+        for t, _ in fits:
+            code = families.cyclic_code_from_defining_set(t, build_field(2, 2))
+            tried.append((t, quantum.allone_aqc(code.puncture(), cap)))
+            yield tried[-1][1]
+
+    try:
+        status = audit._classify(claim, rebuilt() if 4 ** k <= cap
+                                 else [c for _, c in fits])
+    except FieldError:
+        status = "unverifiable-at-scale"
+    detail = {"search": [{
+        "source": [n, k], "candidates": len(cands), "fits": len(fits),
+        "dz_ranges": sorted({(c[2].value, n - k) for _, c in cands}),
+        "tried": [{"exponents": t.sorted_exponents, "dz": rec.dz.value}
+                  for t, rec in tried]}]}
+    if status == "confirmed":
+        detail.update(defining_set=tried[-1][0].to_json(),
+                      rebuilt=tried[-1][1].to_json())
+    elif status == "formula-consistent":
+        detail["note"] = f"4^{k} codewords beyond cap"
+    else:
+        detail["reason"] = (
+            "splitting field beyond the size cap"
+            if status == "unverifiable-at-scale" else
+            f"no BCH defining set gives [{n},{k}]_4" if not cands else
+            f"d_z={dz} outside [bch bound - 1, {n - k}] for every [{n},{k}] "
+            "BCH code" if not fits else
+            f"no punctured [{n},{k}] BCH code has exact weight {dz}")
+    return status, detail
+
+
+def table2_row_oracle(row, cap=DEFAULT_CAP):
+    big_n, big_k, dz = row
+    status, detail = table2_search_oracle(big_n + 1, big_k + 1, dz, cap)
+    if status == "inconsistent":
+        reading, found = table2_search_oracle(big_n + 1, big_k, dz, cap)
+        detail["search"] += found["search"]
+        if reading in audit._OFF_BY_ONE:
+            detail["off_by_one_reading"] = (
+                f"reading the dimension as the source [{big_n + 1},{big_k}] "
+                f"BCH dimension (quantum dimension {big_k - 1}) fits the "
+                "formula" + audit._OFF_BY_ONE[reading])
+    return audit.AuditRow(f"[[{big_n},{big_k},{{{dz},2}}]]_4", status, detail)
+
+
+def test_table2_matches_the_search_that_walks_every_fit():
+    """One walk per multiplier class changes no row: statuses, candidate
+    counts, the d_z of every fit tried and the confirming defining set are
+    those of the search that builds and walks every fit."""
+    want = [table2_row_oracle(row).to_json() for row in audit.TABLE2_ROWS]
+    for threads in (1, 2):
+        report = audit.audit_table("table2", threads=threads)
+        assert [r.to_json() for r in report.rows] == want
+
+
+# odd n <= 21 whose splitting field over GF(4) fits SIZE_CAP: 19 needs GF(2^18)
+MULTIPLIER_LENGTHS = (3, 5, 7, 9, 11, 13, 15, 17, 21)
+
+
+def random_closed_set(rng, n, q, kmax):
+    """A random union of q-cyclotomic cosets mod n leaving 1..kmax
+    dimensions."""
+    cosets = {polyalg.cyclotomic_coset(n, q, x) for x in range(n)}
+    while True:
+        t = {s for c in cosets if rng.random() < 0.8 for s in c}
+        if n - kmax <= len(t) < n:
+            return polyalg.DefiningSet("cyclic", n, q, frozenset(t))
+
+
+def test_multipliers_keep_the_distance_of_a_cyclic_code_and_its_puncture():
+    """For a unit a of Z_n, the codes of T and a.T are permutation-
+    equivalent, and so are their punctures: the enumerated minimum
+    distances agree.  Table 2's search walks one T per class on this.  A
+    cyclic code with d >= 2 punctures to d - 1."""
+    rng = random.Random(26)
+    pairs = 0
+    for q, kmax in ((2, 12), (4, 6)):
+        field = build_field(2, q.bit_length() - 1)
+        for n in MULTIPLIER_LENGTHS:
+            for _ in range(16):
+                t = random_closed_set(rng, n, q, kmax)
+                images = {frozenset(a * s % n for s in t.exponents)
+                          for a in range(1, n) if math.gcd(a, n) == 1}
+                dists = set()
+                for exps in images:
+                    code = families.cyclic_code_from_defining_set(
+                        polyalg.DefiningSet("cyclic", n, q, exps), field)
+                    dists.add((min_distance(code).value,
+                               min_distance(code.puncture()).value))
+                assert len(dists) == 1, (q, t.sorted_exponents, dists)
+                # the puncture certificate: d - 1, from a shifted minimum word
+                ((d, d_punct),) = dists
+                assert d_punct == d - 1 or d == 1
+                pairs += len(images) - 1
+    assert pairs >= 200
+
+
+def test_reused_class_record_must_meet_its_own_bch_bound(monkeypatch):
+    """[15,10]_4 has six fits in two multiplier classes, so the search walks
+    twice.  A walked record whose d_z is below the bch bound - 1 of a later
+    fit in its class refutes that bound, as the skipped walk would have."""
+    allone_aqc, walks = quantum.allone_aqc, []
+
+    def counted(code, cap):
+        walks.append(allone_aqc(code, cap))
+        return walks[-1]
+
+    monkeypatch.setattr(quantum, "allone_aqc", counted)
+    _, detail = audit._table2_search(15, 10, 4, DEFAULT_CAP)
+    assert len(detail["search"][0]["tried"]) == 6 and len(walks) == 2
+
+    def first_at_weight_one(code, cap):
+        rec = counted(code, cap)
+        if len(walks) == 1:
+            rec.dz = Bound(1, "exact", "enumeration")
+        return rec
+
+    walks.clear()
+    monkeypatch.setattr(quantum, "allone_aqc", first_at_weight_one)
+    with pytest.raises(CodeError, match="refutes the bch_bound"):
+        audit._table2_search(15, 10, 4, DEFAULT_CAP)
 
 
 def test_table2_classification():

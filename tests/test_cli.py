@@ -508,6 +508,8 @@ def test_rank_zero_record_exits_one(tmp_path, capsys, args):
     *((["field", "--p", "2", "--e", "2", "--dual-basis", basis], 1)
       for basis in ("1,abc", "1,w^x", "1,w^", "1,", "wx,1", "1", "1,2,3",
                     "1,4", "1,1")),
+    (["code", "build", "simplex", "--m", "17"], 1),
+    (["quantum", "best", "--variant", "simplex", "--m", "17"], 1),
 ])
 def test_out_of_range_field_exits_cleanly(no_big_factoring, capsys, args,
                                           code):

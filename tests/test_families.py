@@ -1,7 +1,9 @@
+import tracemalloc
+
 import pytest
 
 from qct import families, lincode
-from qct.errors import CodeError, PreconditionError
+from qct.errors import CodeError, FieldError, PreconditionError
 from qct.galois import build_field, field_from_q
 from qct.lincode import LinearCode, is_mds, min_distance
 from qct.polyalg import defining_set_closure, hermitian_dual_defining_set
@@ -55,6 +57,18 @@ def test_simplex_and_c0():
     assert s4.params() == (15, 4, 2) and c04.params() == (15, 5, 2)
     assert min_distance(s4).value == 8
     assert min_distance(c04).value == 7
+
+
+def test_simplex_beyond_the_size_cap_fails_before_allocating():
+    """GF(2^17) is refused before a set of 2^17 - 1 exponents exists."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(FieldError, match="exceeds size cap"):
+            families.simplex_and_c0(17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_preparata_like_bi():
