@@ -149,8 +149,9 @@ def _map_rows(fn, rows, threads: int = 1):
 def audit_table1(cap: int = DEFAULT_CAP, threads: int = 1) -> VerificationReport:
     f4 = build_field(2, 2)
     codes = [families.bch_narrow_sense(f4, 15, d) for d in range(2, 15)]
+    # the cap is allone_aqc's: above it, min_distance bounds by search
     derived = {c.k - 1: quantum.allone_aqc(c, cap) for c in codes
-               if c.k >= 2 and 4 ** c.k <= cap}
+               if c.k - 1 in dict(TABLE1_ROWS)}
     rows = []
     for kprime, dz in TABLE1_ROWS:
         rec = derived.get(kprime)

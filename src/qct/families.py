@@ -41,8 +41,6 @@ def cyclic_code_from_defining_set(t: DefiningSet, field: Field,
         shift[0] = field.neg(int(shift[0]))
     if not code.contains_word(shift):
         raise CodeError("generator polynomial does not divide x^n -+ 1")
-    if k != t.n - len(t.exponents):
-        raise CodeError("defining-set size does not match generator degree")
     code.defining_set = t
     return code
 
@@ -150,7 +148,7 @@ def negacyclic_cs(q: int, n: int, s: int) -> LinearCode:
         violations.append(f"q={q} must be odd")
     if q % 4 != 1:
         violations.append(f"q={q} is not 1 mod 4")
-    if n % 2 != 0 or (q - 1) % n != 0:
+    if n <= 0 or n % 2 != 0 or (q - 1) % n != 0:
         violations.append(f"n={n} is not an even divisor of q-1={q - 1}")
     if s % 2 != 0 or not 2 <= s <= n:
         violations.append(f"s={s} must be even with 2 <= s <= n")

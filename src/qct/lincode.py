@@ -6,49 +6,60 @@ matrix comparisons.  Exact distances and relative weights come from one
 enumeration kernel.  It holds vectors as base-p digit planes: bits packed
 into uint64 words when p = 2, one small unsigned integer per digit for odd p.
 The layout is word-major: a block of R words is an (e.W, R) array, so each
-(plane, word) pair is one contiguous row.  The kernel tabulates every
-combination of the low generator rows, as many as fit in _TABLE_BYTES, in
-one contiguous table made once per walk, and walks the high messages in
-message-index order.  Each block is the table plus one offset column,
-written into one buffer allocated per walk (for odd p, one more array holds
-the wrap of the digit sum).  Weights are popcounts of the ORed planes
-(p = 2) or counts of nonzero digits (odd p), summed over rows in the
-smallest unsigned type that holds n + 1.  A sweep of `table1` plus `table2`
-from 16 KB to 4 MB (in process, best of 3, 2-core Xeon VM) found 256 KB
-and 512 KB fastest, 1 MB 1.3-1.6 times and 4 MB 3-4 times slower, so the
-table stays at 256 KB.  Weight is invariant under a nonzero scalar, and
-c.x lies outside C1 exactly when x does, so the walk visits one codeword
-per scalar class: the high block 0, then only the high messages whose top
-nonzero digit is 1, q - 1 times fewer words.  Among the multiples of a
-message, the one with top digit 1 has the smallest index (the field's 1 is
-the integer 1).  Row 0 is the least-significant message digit, so the
-witness is still the first minimum-weight codeword in message-index order.
+(plane, word) pair is one contiguous row.
+
+Both walks, the exhaustive one and the search below, run in one block loop,
+_walk.  A walk starts from the digit planes of 0 and of every c.g_j, c != 0
+(_multiples of its generator rows g_j); its block source makes a table and
+an array of offsets from them and names, block by block, the offset columns
+to sum.  The loop adds each block's offsets to every table column in one
+broadcast add, into one buffer allocated at the first block, the largest
+(for odd p a second half holds the wrap of the digit sum).  Weights are
+popcounts of the ORed planes (p = 2) or counts of nonzero digits (odd p),
+summed over rows in the smallest unsigned type that holds n + 1.  One rule,
+_lightest_outside, picks a block's winner: the first nonzero word of the
+least weight below the best so far whose syndrome x.H1^T is nonzero (so it
+lies outside C1).  Only a block with a lighter word tests syndromes: a
+word's syndrome is the same sum over the multiples of the syndrome rows,
+nonzero where its table column differs from the offset negated; the loop
+asks for the syndrome table the first time a block tests syndromes.  The
+loop stops after the first block that leaves the best weight at its target.
+
+The exhaustive walk, _enumerate, tabulates every combination of the low
+generator rows, as many as fit in _TABLE_BYTES with their syndrome rows.
+Its offsets are the multiples themselves, so a block is one high message
+in message-index order, the sum of the columns c.g_j of its nonzero high
+digits.  Its syndrome rows are S = G2.H1^T, one product per walk; their
+multiples lie below those of G, so one table holds both.  A sweep of
+`table1` plus `table2` from 16 KB to 4 MB (in process, best of 3, 2-core
+Xeon VM) found 256 KB and 512 KB fastest, 1 MB 1.3-1.6 times and 4 MB 3-4
+times slower, so the table stays at 256 KB.  Weight is invariant under a
+nonzero scalar, and c.x lies outside C1 exactly when x does, so the walk
+visits one codeword per scalar class: the high block 0, then only the high
+messages whose top nonzero digit is 1, q - 1 times fewer words.  Among the
+multiples of a message, the one with top digit 1 has the smallest index
+(the field's 1 is the integer 1).  Row 0 is the least-significant message
+digit, so the witness is still the first minimum-weight codeword in
+message-index order.
 A walk that would visit more than _WALK_BUDGET words raises
 SearchCapExceeded before its table is built.
 
-Both walks, this one and the search below, weigh blocks of the n codeword
-digits only and pick each block's winner by one rule, _lightest_outside:
-the first nonzero word of the least weight below the best so far whose
-syndrome x.H1^T is nonzero (so it lies outside C1).  Only a block with a
-lighter word tests syndromes: like the codeword, a word's syndrome is a sum
-of two columns of digit planes, nonzero where one differs from the other
-negated.  Here S = G2.H1^T is one product per walk, its planes tabulated
-below each low message's codeword planes; the table's size counts both.
-
-The walk stops after the first block that leaves its best weight at the
-code's design distance (1 when there is none), a certified lower bound; a
-relative weight uses the bound of C2, since wt(C2 \\ C1) >= d(C2).  No
-later word can be lighter, and blocks come in message-index order with the
-first minimum kept, so value and witness are those of the full walk.  A
-best weight below the bound refutes it and raises CodeError.
+The walk's target is the code's design distance (1 when there is none), a
+certified lower bound; a relative weight uses the bound of C2, since
+wt(C2 \\ C1) >= d(C2).  No later word can be lighter, and blocks come in
+message-index order with the first minimum kept, so value and witness are
+those of the full walk.  A best weight below the bound refutes it and
+raises CodeError.
 
 Above the cap (q^k > cap) nothing is enumerated.  A Lee-Brickell
 information-set search (p <= 2, a fixed seed and a fixed number of
-information sets) looks for a light codeword in the same digit planes.  Each
-information set is found by eliminating the smaller of G and H (matroid
-duality, through gflinalg.perp_rref), so a high-rate code takes n - k
-pivot steps per set instead of k.  The syndrome of its candidate
-R_a + c.R_j is s_a + c.s_j, from one product R.H1^T per information set.
+information sets), the loop's other block source, looks for a light
+codeword: its table is the multiples of a systematic generator R, and a
+block is a run of rows R_a as offsets.  Each information set is found by
+eliminating the smaller of G and H (matroid duality, through
+gflinalg.perp_rref), so a high-rate code takes n - k pivot steps per set
+instead of k.  The syndrome of its candidate R_a + c.R_j is s_a + c.s_j,
+from one product R.H1^T per information set.
 The result is exact only when that witness, checked to be in the code and
 outside C1, meets a certified lower bound: the design (BCH) distance, or
 d >= 2 when no weight-1 word lies in C2 \\ C1.  The exact methods are
@@ -349,17 +360,18 @@ def _plane_adder(p: int):
 
 
 def _weights(f: Field, block: np.ndarray, n: int,
-             scratch: np.ndarray | None = None) -> np.ndarray:
+             marks: np.ndarray | None) -> np.ndarray:
     """Hamming weights of the length-n words in the columns of a word-major
     block (e.W, R), as np.min_scalar_type(n + 1).
 
     The planes are ORed row by row; a weight is a sum of popcounts over the
     W words (p = 2) or a count of the nonzero digits (odd p), both over
-    contiguous rows; for odd p a free `scratch` block takes the marks."""
+    contiguous rows; for odd p a free bool array `marks`, of as many
+    elements as the block, takes the nonzero marks."""
     nz = reduce(np.bitwise_or, block.reshape(f.e, -1, block.shape[-1]))
     dtype = np.min_scalar_type(n + 1)
     if f.p != 2:
-        out = None if scratch is None else scratch[:len(nz)].view(bool)
+        out = marks.reshape(block.shape)[:len(nz)]
         return np.not_equal(nz, 0, out=out).sum(axis=0, dtype=dtype)
     weights = np.bitwise_count(nz[0]).astype(dtype, copy=False)
     for w in range(1, len(nz)):
@@ -391,72 +403,100 @@ def _word(f: Field, column: np.ndarray, n: int) -> np.ndarray:
     return f.from_digits(digits.T)
 
 
+def _walk(f: Field, n: int, tables, blocks, syndromes, best_w: int,
+          target: int):
+    """The block loop of both walks.  `tables` is an array of offsets and
+    a table; each block from `blocks` is a list of offset columns (indices
+    or slices), and candidate a.cols + i of the block is the sum of their
+    a-th columns plus table column i.  A block is added into one buffer
+    allocated at the first block, the largest (for odd p with a scratch
+    half), weighed by _weights, and its winner picked by _lightest_outside.
+    With `syndromes`, a function that returns the same two arrays for the
+    syndrome rows, called when a block first tests syndromes, a block's
+    syndromes are the same sums.  Stops after the first block that leaves
+    best_w at `target` or below; returns best_w and the planes of the last
+    winner, None if no word was lighter than best_w on entry."""
+    add = _plane_adder(f.p)
+    offsets, table = tables[0], tables[1][:, None]
+    buf = best = syn = None
+
+    def offset(m):   # the sum of the block's offset columns of m
+        return reduce(add, [m[:, c] for c in sel]).reshape(len(m), -1)
+
+    def outside():   # syndrome of offset + column != 0: column != -offset
+        nonlocal syn
+        syn = syn or syndromes()
+        neg, out = offset(syn[0]), None
+        if f.p != 2:
+            neg, out = (f.p - neg) % f.p, marks[:len(syn[1])]
+        return np.not_equal(syn[1][:, None], neg[:, :, None],
+                            out=out).any(axis=0).reshape(-1)
+
+    for sel in blocks:
+        off = offset(offsets)
+        shape = (len(table), off.shape[1], table.shape[2])
+        size = math.prod(shape)
+        if buf is None:
+            buf = np.empty(size * (1 if f.p == 2 else 2), table.dtype)
+        # for odd p the second half takes the wrap of the sum, then marks
+        tmp = marks = None
+        if f.p != 2:
+            tmp = buf[-size:].reshape(shape)
+            marks = buf[-size:].view(bool)[:size].reshape(shape)
+        block = add(off[:, :, None], table,
+                    out=buf[:size].reshape(shape), tmp=tmp)
+        block = block.reshape(len(table), -1)
+        hit = _lightest_outside(_weights(f, block, n, marks), best_w,
+                                None if syndromes is None else outside)
+        if hit is not None:
+            best_w, best = hit[0], block[:, hit[1]].copy()
+        if best_w <= target:
+            break
+    return best_w, best
+
+
 def _enumerate(code: LinearCode, exclude: LinearCode | None):
     """Minimum weight, and the first codeword of that weight in message-index
     order, over the nonzero codewords of `code` outside `exclude` (if given).
     The walk, its test of `exclude` and its stop at the design distance of
     `code` are described in the module docstring."""
     floor = code.design_distance or 1
-    f = code.field
-    p, q = f.p, f.order
-    g = code.matrix
-    k, n = g.shape
-    mats = [g]
-    if exclude is not None:   # S = G.H1^T: row j's syndrome digits
-        mats.append(_syndromes(g, code.pivots, exclude.parity_check().T, f))
-    # scaled[:, c, j] = the digit-plane rows of c * row j: the m codeword
-    # rows, then those of its syndrome
-    planes = [_digit_planes(f, f.vmul(np.arange(q)[:, None, None], a[None]))
-              .reshape(-1, q, k) for a in mats]
-    m = len(planes[0])
-    scaled = np.concatenate(planes)
-    add = _plane_adder(p)
-
-    t = 1
-    while t < k and q ** (t + 1) * scaled[:, 0, 0].nbytes <= _TABLE_BYTES:
+    f, g = code.field, code.matrix
+    q, (k, n) = f.order, g.shape
+    # the offsets: the multiples of the rows of G and, for a relative
+    # weight, below them those of the syndrome rows S = G.H1^T
+    mults = _multiples(f, g)
+    m = len(mults)
+    if exclude is not None:
+        mults = np.concatenate([mults, _multiples(f, _syndromes(
+            g, code.pivots, exclude.parity_check().T, f))])
+    t = 1   # the low rows: as many as fit in the table, at least one
+    while t < k and q ** (t + 1) * mults[:, 0].nbytes <= _TABLE_BYTES:
         t += 1
     words = q ** t * (1 + (q ** (k - t) - 1) // (q - 1))
     if words > _WALK_BUDGET:
         raise SearchCapExceeded(
             f"enumerating {code!r}: the walk visits up to {words} words, "
             f"over the budget {_WALK_BUDGET}")
-    # table[:, m] = the digit-plane rows of low message m, one per column
-    table = scaled[:, :, 0]
-    for j in range(1, t):
-        table = add(scaled[:, :, j, None], table[:, None])
-        table = table.reshape(len(table), -1)
-    table = np.ascontiguousarray(table)
-    table, syn = table[:m], table[m:]   # two contiguous views
-    buf = np.empty_like(table)
-    tmp = None if p == 2 else np.empty_like(table)
-    outside = None
-    if exclude is not None:
-        def outside():   # syn column + offset part != 0: column != -offset
-            neg = off[m:] if p == 2 else (p - off[m:]) % p
-            out = None if p == 2 else tmp[:len(syn)].view(bool)
-            return np.not_equal(syn, neg[:, None], out=out).any(axis=0)
-
-    best_w, best = n + 1, None
-    # one member per scalar class: a nonzero high message whose top digit is 1
-    highs = chain([0], *(range(q ** j, 2 * q ** j) for j in range(k - t)))
-    for h in highs:
-        off = np.zeros(len(scaled), table.dtype)
-        for j in range(t, k):
-            d = h // q ** (j - t) % q
-            if d:
-                off = add(off, scaled[:, d, j])
-        add(table, off[:m, None], out=buf, tmp=tmp)
-        hit = _lightest_outside(_weights(f, buf, n, tmp), best_w, outside)
-        if hit is not None:
-            best_w, best = hit[0], buf[:, hit[1]].copy()
-        if best_w <= floor:
-            break
+    add = _plane_adder(f.p)
+    table = mults[:, :1]   # column i: the planes of low message i
+    for j in range(t):   # the multiples c.g_j, c = 0..q - 1
+        table = add(mults.take([0, *range(1 + j, mults.shape[1], k)], axis=1)
+                    [:, :, None], table[:, None]).reshape(len(mults), -1)
+    # one member per scalar class: the high block 0, then each high message
+    # whose top nonzero digit is 1, as the columns c.g_j of its digits
+    blocks = ([1 + (d - 1) * k + j for j in range(t, k)
+               if (d := h // q ** (j - t) % q)] or [0]
+              for h in chain([0], *(range(q ** j, 2 * q ** j)
+                                    for j in range(k - t))))
+    best_w, best = _walk(f, n, (mults[:m], table[:m]), blocks,
+                         None if exclude is None else
+                         lambda: (mults[m:], table[m:]), n + 1, floor)
     if best_w < floor:
         raise CodeError(f"a codeword of weight {best_w} refutes the bch_bound "
                         f"lower bound {floor}")
-    if best is None:
-        return best_w, None
-    return best_w, tuple(int(x) for x in _word(f, best, n))
+    return best_w, None if best is None else tuple(
+        int(x) for x in _word(f, best, n))
 
 
 def _syndromes(r, pivots, s, f: Field):
@@ -507,26 +547,23 @@ def _witness_search(code: LinearCode, exclude: LinearCode | None,
     Each of _SEARCH_SETS information sets comes from one column order of
     _search_perms and the systematic generator R of _systematic, one rref
     of the smaller of G and H.  Every word R_a + c.R_j (c in GF(q), j any
-    row) is a candidate.  A block is a step of rows R_a against the table
-    _multiples(R) of 0 and every c.R_j, in one broadcast add of n-digit
-    planes; candidate a.cols + t of a set is R_a plus table column t.
-    _lightest_outside picks each block's winner.  The syndrome of
-    candidate R_a + c.R_j is the same sum over _multiples(s), with
-    s = _syndromes(R, J, H1^T[perm]) for the information set J and the
+    row) is a candidate.  Each set is one _walk: a block is a step of rows
+    R_a as offsets against the table _multiples(R) of 0 and every c.R_j,
+    and candidate a.cols + t of a set is R_a plus table column t.  The
+    syndrome of candidate R_a + c.R_j is the same sum over _multiples(s),
+    with s = _syndromes(R, J, H1^T[perm]) for the information set J and the
     parity check H1 of `exclude`: one product per set, made when the set
-    first has a block to test.  Blocks are sized for n + (n - k1)
-    digits a candidate, and the search stops after the first block that
+    first has a block to test.  Blocks are sized for n + (n - k1) digits a
+    candidate, and the search stops after the first block that
     leaves its weight at `target`, so that partition decides which word a
     stop returns.  Returns (weight, word), the word in the code's own
     coordinates.  Rows whose int64 digits would take more than
     _SEARCH_ROWS_BUDGET bytes raise SearchCapExceeded before any set."""
-    f = code.field
-    n, q = code.n, f.order
+    f, n, k = code.field, code.n, code.k
     h1 = None if exclude is None else exclude.parity_check().T
-    add = _plane_adder(f.p)
     # the budget and the block size count codeword and syndrome digits
     widths = (n,) if h1 is None else (n, h1.shape[1])
-    need = (q - 1) * code.k * f.e * sum(widths) * 8
+    need = (f.order - 1) * k * f.e * sum(widths) * 8
     if need > _SEARCH_ROWS_BUDGET:
         raise SearchCapExceeded(
             f"witness search in {code!r}: the candidate rows take {need} "
@@ -536,36 +573,26 @@ def _witness_search(code: LinearCode, exclude: LinearCode | None,
     best_w, best = n + 1, None
     for perm in _search_perms(n):
         r, piv = _systematic(code, perm)
-        k = len(r)
-        table = _multiples(f, r)   # R_a is table column 1 + a
-        cols = table.shape[1]
-        step = max(1, _SEARCH_BYTES // (row_bytes * cols))
-        outside, syn = None, None
-        if h1 is not None:
-            def outside():   # R_a's syndrome column != -(table column)
-                nonlocal syn
-                if syn is None:
-                    syn = _multiples(f, _syndromes(r, piv, h1[perm], f))
-                neg = syn if f.p == 2 else (f.p - syn) % f.p
-                return (syn[:, 1 + i:1 + min(i + step, k), None]
-                        != neg[:, None]).any(axis=0).reshape(-1)
-        for i in range(0, k, step):
-            block = add(table[:, 1 + i:1 + min(i + step, k), None],
-                        table[:, None])
-            block = block.reshape(len(table), -1)
-            hit = _lightest_outside(_weights(f, block, n), best_w, outside)
-            if hit is not None:
-                best_w, best = hit[0], np.empty(n, dtype=np.int64)
-                best[perm] = _word(f, block[:, hit[1]], n)
-            if best_w <= target:
-                return best_w, best
+        mults = _multiples(f, r)   # R_a is column 1 + a
+        step = max(1, _SEARCH_BYTES // (row_bytes * mults.shape[1]))
+        best_w, col = _walk(   # the multiples are both offsets and table
+            f, n, (mults, mults),
+            ([slice(1 + i, 1 + min(i + step, k))] for i in range(0, k, step)),
+            None if h1 is None else
+            lambda: (_multiples(f, _syndromes(r, piv, h1[perm], f)),) * 2,
+            best_w, target)
+        if col is not None:   # back to the code's own coordinates
+            best = _word(f, col, n)[np.argsort(perm)]
+        if best_w <= target:
+            break
     return best_w, best
 
 
-def _bound_without_enumeration(code: LinearCode,
-                               exclude: LinearCode | None = None) -> Bound:
-    """The minimum weight of `code` (outside `exclude`, if given) without
-    enumeration: a certified lower bound, met or not by a searched witness.
+def _min_weight(code: LinearCode, exclude: LinearCode | None,
+                cap: int) -> Bound:
+    """The minimum weight of `code` (outside `exclude`, if given): exact by
+    _enumerate when q^k <= cap.  Otherwise it is found without enumeration,
+    as a certified lower bound, met or not by a searched witness.
 
     The certificate is the design (BCH) distance, or d >= 2 when no
     weight-1 word lies in the code outside `exclude`.  The result is exact
@@ -574,6 +601,9 @@ def _bound_without_enumeration(code: LinearCode,
     certificate as a lower bound, or a larger declared distance the witness
     does not refute as kind `declared`, with the witness weight as `upper`.
     A declared distance never makes a result exact."""
+    if code.field.order ** code.k <= cap:
+        w, cw = _enumerate(code, exclude)
+        return Bound(w, "exact", "enumeration", witness=cw)
     # a weight-1 codeword is e_j, and then e_j is a row of the rref matrix
     ones = [r for r in code.matrix if np.count_nonzero(r) == 1
             and (exclude is None or not exclude.contains_word(r))]
@@ -598,33 +628,23 @@ def _bound_without_enumeration(code: LinearCode,
 
 def min_distance(code: LinearCode, cap: int = DEFAULT_CAP) -> Bound:
     """Exact minimum distance by full enumeration when q^k <= cap, else the
-    witness-search bound of _bound_without_enumeration."""
+    witness-search bound of _min_weight."""
     if code.k == 0:
         raise CodeError("minimum distance of the zero code is undefined")
-    if code.distance_info is not None and code.distance_info.exact:
-        return code.distance_info
-    if code.field.order ** code.k <= cap:
-        w, cw = _enumerate(code, None)
-        res = Bound(w, "exact", "enumeration", witness=cw)
-    else:
-        res = _bound_without_enumeration(code)
-    code.distance_info = res
-    return res
+    if code.distance_info is None or not code.distance_info.exact:
+        code.distance_info = _min_weight(code, None, cap)
+    return code.distance_info
 
 
 def relative_min_weight(c2: LinearCode, c1: LinearCode,
                         cap: int = DEFAULT_CAP) -> Bound:
     """Minimum weight over codewords of c2 that are not in c1: enumerated
-    when q^k2 <= cap, else the witness-search bound of
-    _bound_without_enumeration."""
+    when q^k2 <= cap, else the witness-search bound of _min_weight."""
     if not c2.contains_code(c1):
         raise PreconditionError("inner code is not contained in the outer code")
     if c1.k >= c2.k:
         raise PreconditionError("relative weight needs proper nesting (k1 < k2)")
-    if c2.field.order ** c2.k <= cap:
-        w, cw = _enumerate(c2, c1)
-        return Bound(w, "exact", "enumeration", witness=cw)
-    return _bound_without_enumeration(c2, c1)
+    return _min_weight(c2, c1, cap)
 
 
 def is_mds(code: LinearCode) -> bool:

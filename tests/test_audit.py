@@ -29,6 +29,16 @@ def test_table1_all_confirmed():
                       "[[15,8,{5,2}]]_4", "[[15,10,{3,2}]]_4"}
 
 
+@pytest.mark.parametrize("cap", [1, 16, 1000, 1024, 4 ** 8, DEFAULT_CAP])
+def test_no_cap_turns_a_table1_row_inconsistent(cap):
+    """Every row is rebuilt from its BCH code at any cap: a code with
+    4^k above the cap gets the witness-search bound of min_distance, not
+    a missing record.  At every cap tried here all six rows confirm."""
+    report = audit.audit_table("table1", cap=cap)
+    assert all("rebuilt" in r.detail for r in report.rows)
+    assert report.counts() == {"confirmed": 6}
+
+
 @functools.lru_cache(maxsize=None)
 def closures_by_defining_set_closure(n):
     """The closure list as built before the coset map: one

@@ -105,6 +105,9 @@ def test_exit_codes():
                  "RS dimension k=9", id="build-1"),
     pytest.param(["code", "build", "rs", "--q", "4"], None, 2,
                  "Missing option '--k'", id="build-2"),
+    pytest.param(["code", "build", "negacyclic", "--q", "9", "--n", "0",
+                  "--s", "2"], None, 1, "n=0 is not an even divisor",
+                 id="build-negacyclic-n0"),
     pytest.param(["code", "build", "bch", "--q", "4", "--n", "15", "--delta",
                   "3"], 100, 1, "rref of a 11 x 15 matrix",
                  id="build-rref-budget"),

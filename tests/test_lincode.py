@@ -251,6 +251,22 @@ def test_relative_walk_builds_codeword_planes(case, monkeypatch):
         assert blocks and set(blocks) == {codeword_rows}
 
 
+def test_walk_over_wide_digits(monkeypatch):
+    """For p > 127 a digit plane holds uint16 digits, and the odd-p scratch
+    half of the walk's buffer still takes one bool mark per digit: a
+    [4,2]_131 code, absolute and over a [4,1] subcode, against the naive
+    oracle in one block and in several."""
+    f = build_field(131, 1)
+    code = LinearCode(f, np.random.default_rng(135).integers(0, 131, (2, 4)))
+    inner = LinearCode(f, code.matrix[:1])
+    assert lincode._multiples(f, code.matrix).dtype == np.uint16
+    want = naive_first_minimum(code), naive_first_minimum(code, inner)
+    for table_bytes in (lincode._TABLE_BYTES, 64):
+        monkeypatch.setattr(lincode, "_TABLE_BYTES", table_bytes)
+        assert lincode._enumerate(code, None) == want[0]
+        assert lincode._enumerate(code, inner) == want[1]
+
+
 def test_walk_over_budget_raises_before_the_table(monkeypatch):
     """A walk that would visit more words than _WALK_BUDGET raises
     SearchCapExceeded before any table is built; at the budget it runs.
