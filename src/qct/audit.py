@@ -8,6 +8,8 @@ an open range, as it certifies nothing.  A row is confirmed when some
 candidate pins all four entries to the claim, inconsistent when none holds
 the claim (a counterexample-search summary is attached), formula-consistent
 otherwise; unverifiable-at-scale is set for a splitting field beyond the cap.
+Each audit takes only the cap and runs its rows in order in the calling
+thread.
 
 Table 2's candidates are the interval closures of one size, kept per length
 as bit masks grouped by size and built as defining sets only for the size a
@@ -134,19 +136,9 @@ def _row(q: int, claim: tuple, candidates, detail: dict) -> AuditRow:
                     _classify(claim, candidates), detail)
 
 
-def _map_rows(fn, rows, threads: int = 1):
-    if threads > 1:
-        # imported here: concurrent.futures pulls in logging, which no
-        # single-threaded command needs
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, rows))
-    return [fn(r) for r in rows]
-
-
 # -- Table 1: [[15, k', {dz, 2}]]_4 from BCH codes over GF(4) -----------------
 
-def audit_table1(cap: int = DEFAULT_CAP, threads: int = 1) -> VerificationReport:
+def audit_table1(cap: int = DEFAULT_CAP) -> VerificationReport:
     f4 = build_field(2, 2)
     codes = [families.bch_narrow_sense(f4, 15, d) for d in range(2, 15)]
     # the cap is allone_aqc's: above it, min_distance bounds by search
@@ -285,9 +277,9 @@ def _audit_table2_row(row, cap: int) -> AuditRow:
     return AuditRow(f"[[{big_n},{big_k},{{{dz},2}}]]_4", status, detail)
 
 
-def audit_table2(cap: int = DEFAULT_CAP, threads: int = 1) -> VerificationReport:
-    rows = _map_rows(lambda r: _audit_table2_row(r, cap), TABLE2_ROWS, threads)
-    return VerificationReport("table2", rows)
+def audit_table2(cap: int = DEFAULT_CAP) -> VerificationReport:
+    return VerificationReport("table2", [
+        _audit_table2_row(r, cap) for r in TABLE2_ROWS])
 
 
 # -- Table 3 and the BCH examples: binary BCH pairs ---------------------------
@@ -298,12 +290,11 @@ def _audit_bch_pair(m: int, delta1: int, row, detail: dict,
     return _row(2, row, [rec], {"rebuilt": rec.to_json(), **detail})
 
 
-def audit_table3(cap: int = DEFAULT_CAP, threads: int = 1) -> VerificationReport:
+def audit_table3(cap: int = DEFAULT_CAP) -> VerificationReport:
     note = {"note": "distances are BCH-bound lower bounds with "
                     "Singleton / Carlitz-Uchiyama cross-checks"}
-    rows = _map_rows(lambda r: _audit_bch_pair(10, r[3], r, note, cap),
-                     TABLE3_ROWS, threads)
-    return VerificationReport("table3", rows)
+    return VerificationReport("table3", [
+        _audit_bch_pair(10, r[3], r, note, cap) for r in TABLE3_ROWS])
 
 
 # -- Table 4: basis-expanded RS pairs -----------------------------------------
@@ -344,9 +335,9 @@ def _audit_table4_row(row) -> AuditRow:
     return _row(q, row[2:], [], detail)
 
 
-def audit_table4(cap: int = DEFAULT_CAP, threads: int = 1) -> VerificationReport:
-    rows = _map_rows(_audit_table4_row, TABLE4_ROWS, threads)
-    return VerificationReport("table4", rows)
+def audit_table4(cap: int = DEFAULT_CAP) -> VerificationReport:
+    return VerificationReport("table4", [
+        _audit_table4_row(r) for r in TABLE4_ROWS])
 
 
 # -- inline examples ----------------------------------------------------------
@@ -367,11 +358,10 @@ def _audit_rs_example(row, cap: int) -> AuditRow:
     return _row(q, row, [rec], {"k1_k2": [k1, k2], "rebuilt": rec.to_json()})
 
 
-def audit_examples(cap: int = DEFAULT_CAP, threads: int = 1) -> VerificationReport:
-    rows = _map_rows(lambda r: _audit_rs_example(r, cap), RS_EXAMPLE_ROWS,
-                     threads)
-    rows += _map_rows(lambda r: _audit_bch_pair(r[0], r[1], r[2:], {}, cap),
-                      BCH_EXAMPLE_ROWS, threads)
+def audit_examples(cap: int = DEFAULT_CAP) -> VerificationReport:
+    rows = [_audit_rs_example(r, cap) for r in RS_EXAMPLE_ROWS]
+    rows += [_audit_bch_pair(r[0], r[1], r[2:], {}, cap)
+             for r in BCH_EXAMPLE_ROWS]
     return VerificationReport("examples", rows)
 
 
@@ -382,7 +372,8 @@ _AUDITS = {"table1": audit_table1, "table2": audit_table2,
 
 def audit_table(which: str, cap: int = DEFAULT_CAP,
                 threads: int = 1) -> VerificationReport:
+    """The audit named `which`.  `threads` is accepted and ignored."""
     if which not in _AUDITS:
         raise QctError(f"unknown audit target {which!r}; "
                        f"choose from {sorted(_AUDITS)}")
-    return _AUDITS[which](cap=cap, threads=threads)
+    return _AUDITS[which](cap=cap)

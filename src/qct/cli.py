@@ -91,7 +91,7 @@ def _emit_aqc(rec, as_json: bool):
               help="path of the JSON-lines catalog")
 @click.option("--threads", type=click.IntRange(min=1), default=1,
               envvar="QCT_THREADS",
-              help="worker threads for audits")
+              help="accepted and ignored: every audit runs in one thread")
 @click.pass_context
 def main(ctx, cap, seed, catalog_path, threads):
     """Classical code constructions and asymmetric quantum code parameters."""

@@ -32,10 +32,10 @@ def cyclic_code_from_defining_set(t: DefiningSet, field: Field,
     rows = np.zeros((k, t.n), dtype=np.int64)
     for j in range(k):
         rows[j, j:j + deg + 1] = g
+    # rank k: row j starts at column j with g's constant term, which is
+    # +- a product of roots of unity, so nonzero
     code = LinearCode(field, rows, provenance=provenance or f"{t.kind}(T={t.sorted_exponents})",
                       design_distance=bch_bound(t))
-    if code.k != k:
-        raise CodeError("cyclic generator matrix lost rank")
     shift = np.roll(rows[-1], 1)
     if t.kind == "negacyclic":
         shift[0] = field.neg(int(shift[0]))
@@ -63,6 +63,8 @@ def rs_code(q: int, k: int) -> LinearCode:
 
 def bch_narrow_sense(field: Field, n: int, delta: int) -> LinearCode:
     """Narrow-sense BCH code: defining set = q-closure of {1, ..., delta-1}."""
+    if n < 2:
+        raise PreconditionError(f"BCH length n={n} must be at least 2")
     if gcd(n, field.order) != 1:
         raise PreconditionError(f"gcd(n={n}, q={field.order}) != 1")
     if not 2 <= delta <= n:

@@ -155,6 +155,10 @@ class LinearCode:
     q - k for Reed-Solomon), kept by conjugation and lowered by one per
     puncture; it is never loaded from JSON.  `declared_distance` is a
     claimed, unverified value.
+
+    `_init_rref` sets every attribute from an rref and its pivots: for
+    `__init__` after `gflinalg.rref`, and for `dual` and `conjugated`, whose
+    matrices are already in that form.
     """
 
     def __init__(self, field: Field, rows, provenance: str = "",
@@ -165,14 +169,20 @@ class LinearCode:
             raise CodeError("generator matrix must be a non-empty 2-d array")
         if a.min() < 0 or a.max() >= field.order:
             raise CodeError("matrix entries outside field range")
+        self._init_rref(field, *gflinalg.rref(a, field), provenance,
+                        design_distance, declared_distance)
+
+    def _init_rref(self, field, matrix, pivots, provenance,
+                   design_distance=None, declared_distance=None):
         self.field = field
-        self.matrix, self.pivots = gflinalg.rref(a, field)
-        self.n = int(a.shape[1])
+        self.matrix, self.pivots = matrix, pivots
+        self.n = int(matrix.shape[1])
         self.provenance = provenance
         self.design_distance = design_distance
         self.declared_distance = declared_distance
         self.distance_info: Bound | None = None
         self._dual = None
+        return self
 
     @property
     def k(self) -> int:
@@ -211,26 +221,22 @@ class LinearCode:
         steps when 2k < n, n - k otherwise.  Computed once; the dual's own
         dual is this code."""
         if self._dual is None:
-            d = LinearCode.__new__(LinearCode)
-            d.field = self.field
-            d.matrix, d.pivots = gflinalg.perp_rref(self.matrix, self.pivots,
-                                                    self.field)
-            d.n = self.n
-            d.provenance = f"dual({self.provenance})" if self.provenance else "dual"
-            d.design_distance = None
-            d.declared_distance = None
-            d.distance_info = None
-            d._dual = self
-            self._dual = d
+            self._dual = LinearCode.__new__(LinearCode)._init_rref(
+                self.field, *gflinalg.perp_rref(self.matrix, self.pivots,
+                                                self.field),
+                f"dual({self.provenance})" if self.provenance else "dual")
+            self._dual._dual = self
         return self._dual
 
     def conjugated(self) -> "LinearCode":
-        """Entrywise Frobenius conjugation x -> x^q over GF(q^2).  It keeps
-        every weight, so the design and declared distances carry over."""
-        return LinearCode(self.field, self.field.vconj(self.matrix),
-                          provenance=f"conj({self.provenance})",
-                          design_distance=self.design_distance,
-                          declared_distance=self.declared_distance)
+        """Entrywise Frobenius conjugation x -> x^q over GF(q^2).  It is a
+        field automorphism fixing 0 and 1, so the conjugated rref is the
+        rref of the conjugated code, with the same pivots.  It keeps every
+        weight, so the design and declared distances carry over."""
+        return LinearCode.__new__(LinearCode)._init_rref(
+            self.field, self.field.vconj(self.matrix), self.pivots,
+            f"conj({self.provenance})", self.design_distance,
+            self.declared_distance)
 
     def hermitian_dual(self) -> "LinearCode":
         """Euclidean dual of the entrywise q-conjugated code."""

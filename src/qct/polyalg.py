@@ -2,7 +2,10 @@
 
 Defining sets follow the root-of-unity conventions: exponents mod n for
 cyclic codes and odd exponents mod 2n for negacyclic codes, closed under
-multiplication by the field order.  The one polynomial built here is the
+multiplication by the field order.  `cyclotomic_coset` is the one walk of
+s, s.q, s.q^2, ...: a closure is the union of the orbits of its raw
+exponents, and a splitting field's degree over GF(q) is the size of the
+orbit of 1 mod the root order.  The one polynomial built here is the
 generator, a product of linear factors over the splitting field, returned as
 a list of field elements, constant term first; there is no general
 polynomial arithmetic.
@@ -11,7 +14,6 @@ polynomial arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -22,17 +24,17 @@ from .galois import Embedding, Field, build_field, get_embedding
 # -- cyclotomic cosets and defining sets --------------------------------------
 
 def cyclotomic_coset(n: int, q: int, s: int) -> tuple:
-    """Orbit of s under multiplication by q mod n, as a sorted tuple."""
+    """Orbit of s under multiplication by q mod n, as a sorted tuple.  With
+    gcd(n, q) = 1 the multiplication permutes Z_n, so the walk from s
+    comes back to s."""
     if gcd(n, q) != 1:
         raise PreconditionError(f"gcd({n},{q}) != 1")
     if not 0 <= s < n:
         raise PreconditionError(f"exponent {s} out of range mod {n}")
-    seen = set()
-    x = s
-    while x not in seen:
-        seen.add(x)
-        x = (x * q) % n
-    return tuple(sorted(seen))
+    orbit = [s]
+    while (x := orbit[-1] * q % n) != s:
+        orbit.append(x)
+    return tuple(sorted(orbit))
 
 
 @dataclass(frozen=True)
@@ -72,20 +74,18 @@ def odd_residues(n: int):
 
 
 def defining_set_closure(raw, kind: str, n: int, q: int) -> DefiningSet:
-    """Smallest q-closed defining set containing the raw exponents."""
+    """Smallest q-closed defining set containing the raw exponents, the
+    union of their orbits.  The gcd is checked first, then each raw
+    exponent in turn, its range before its negacyclic parity."""
     mod = n if kind == "cyclic" else 2 * n
     if gcd(mod, q) != 1:
         raise PreconditionError(f"gcd({mod},{q}) != 1")
     closed = set()
     for s in raw:
-        if not 0 <= s < mod:
-            raise PreconditionError(f"exponent {s} out of range mod {mod}")
-        if kind == "negacyclic" and s % 2 == 0:
-            raise PreconditionError(f"negacyclic exponent {s} is even")
-        x = s
-        while x not in closed:
-            closed.add(x)
-            x = (x * q) % mod
+        if s not in closed:
+            closed.update(cyclotomic_coset(mod, q, s))
+            if kind == "negacyclic" and s % 2 == 0:
+                raise PreconditionError(f"negacyclic exponent {s} is even")
     return DefiningSet(kind, n, q, frozenset(closed))
 
 
@@ -140,22 +140,12 @@ def bch_bound(t: DefiningSet) -> int:
 
 # -- splitting fields and generator polynomials -------------------------------
 
-@lru_cache(maxsize=None)
-def _splitting_degree(q: int, modulus: int) -> int:
-    """Multiplicative order of q mod `modulus`."""
-    if gcd(q, modulus) != 1:
-        raise PreconditionError(f"gcd({q},{modulus}) != 1")
-    k, x = 1, q % modulus
-    while x != 1:
-        x = (x * q) % modulus
-        k += 1
-    return k
-
-
 def splitting_field(field: Field, root_order: int) -> tuple[Field, Embedding]:
     """Smallest extension of `field` containing a primitive root of unity of
-    order `root_order`, with the subfield embedding."""
-    k = _splitting_degree(field.order, root_order)
+    order `root_order`, with the subfield embedding.  Its degree is the
+    multiplicative order of |field| mod `root_order`, the size of the orbit
+    of 1 (of 0 when `root_order` is 1)."""
+    k = len(cyclotomic_coset(root_order, field.order, 1 % root_order))
     ext = build_field(field.p, field.e * k)
     return ext, get_embedding(field, ext)
 

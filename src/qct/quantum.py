@@ -188,9 +188,7 @@ def th_best_family(variant, arg, cap: int = DEFAULT_CAP):
         return allone_aqc(code, cap)
     if variant == "simplex":
         m = arg
-        simplex, c0 = families.simplex_and_c0(m)
-        if not c0.contains_code(simplex):
-            raise CodeError("simplex not contained in C_0")
+        _, c0 = families.simplex_and_c0(m)
         rec = allone_aqc(c0, cap)
         rec.provenance["construction"] = "th_best_simplex"
         rec.provenance["formula"] = [2 ** m - 1, m, 2 ** (m - 1) - 1, 2]
@@ -338,10 +336,16 @@ def rs_direct_sum_aqc(q: int, k1: int, k2: int,
     return AqcParams(2 * q - 1, k, dz, dx, q, provenance=prov)
 
 
+def _require_degree(m: int):
+    if m < 1:
+        raise PreconditionError(f"extension degree m={m} must be at least 1")
+
+
 def concat_expand_aqc(q: int, m: int, k1: int, k2: int,
                       cap: int = DEFAULT_CAP) -> AqcParams:
     """Parity-augmented basis expansion of nested RS codes over GF(q^m):
     [[(m+1)(q^m-1), m(k1-k2), {2(q^m-k1), 2(k2+1)}]]_q."""
+    _require_degree(m)
     p, _ = prime_power(q)
     violations = []
     if q % 2 == 1 and (q != p or m % 2 == 0):
@@ -374,6 +378,7 @@ def quantum_concat_params(q: int, m: int, k1: int, k2: int,
                           k: int) -> AqcParams:
     """Concatenation with the AQMDS [[q^m-2, 1, {q^m-k-1, k}]] inner code:
     [[(m+1)(q^m-1)(q^m-2), m(k1-k2), >= D]]_q with D = d*d'."""
+    _require_degree(m)
     big_q = q ** m
     violations = []
     if not 1 <= k <= big_q - 3:
@@ -401,6 +406,7 @@ def negacyclic_expand_aqc(q: int, n: int, s: int, m: int) -> AqcParams:
     """Self-dual-basis expansion of the negacyclic C_s family:
     [[(m+1)n, m(n-s), {2(s/2+1), 2(n-s/2+1)}]]_q at formula level, with an
     itemized report of every construction-level hypothesis."""
+    _require_degree(m)
     if s >= n:
         raise PreconditionError(
             f"s={s} leaves dimension m(n-s) <= 0 at the s=n boundary")

@@ -131,9 +131,8 @@ def test_table2_matches_the_search_that_walks_every_fit():
     counts, the d_z of every fit tried and the confirming defining set are
     those of the search that builds and walks every fit."""
     want = [table2_row_oracle(row).to_json() for row in audit.TABLE2_ROWS]
-    for threads in (1, 2):
-        report = audit.audit_table("table2", threads=threads)
-        assert [r.to_json() for r in report.rows] == want
+    report = audit.audit_table("table2")
+    assert [r.to_json() for r in report.rows] == want
 
 
 # odd n <= 21 whose splitting field over GF(4) fits SIZE_CAP: 19 needs GF(2^18)
@@ -301,16 +300,9 @@ def test_unknown_target():
         audit.audit_table("table9")
 
 
-def test_threaded_matches_serial():
-    serial = audit.audit_table("table4", threads=1)
-    threaded = audit.audit_table("table4", threads=4)
-    assert [r.to_json() for r in serial.rows] == \
-        [r.to_json() for r in threaded.rows]
-
-
 def test_thread_pool_is_imported_only_when_used():
     """concurrent.futures (and the logging it pulls in) stays out of the
-    import of qct's entry modules; only a threaded audit loads it."""
+    import of qct's entry modules: no audit runs a thread pool."""
     import qct
     src = os.path.dirname(os.path.dirname(qct.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

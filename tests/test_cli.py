@@ -108,6 +108,8 @@ def test_exit_codes():
     pytest.param(["code", "build", "negacyclic", "--q", "9", "--n", "0",
                   "--s", "2"], None, 1, "n=0 is not an even divisor",
                  id="build-negacyclic-n0"),
+    pytest.param(["code", "build", "bch", "--q", "4", "--n", "-3", "--delta",
+                  "2"], None, 1, "BCH length n=-3", id="build-bch-n-negative"),
     pytest.param(["code", "build", "bch", "--q", "4", "--n", "15", "--delta",
                   "3"], 100, 1, "rref of a 11 x 15 matrix",
                  id="build-rref-budget"),
@@ -276,11 +278,18 @@ def test_distance_dual_expand_exit_codes(code_files, monkeypatch, capsys, args,
                  id="allone-no-all-one-word"),
     pytest.param("quantum best --variant bch --source missing.json",
                  "cannot load missing.json", id="best-missing-source"),
+    pytest.param("quantum negaexp --q 9 --n 8 --s 4 --m 0",
+                 "extension degree m=0", id="negaexp-m0"),
+    pytest.param("quantum concat --q 4 --m 0 --k1 2 --k2 1",
+                 "extension degree m=0", id="concat-m0"),
+    pytest.param("quantum qconcat --q 4 --m 0 --k1 2 --k2 1 --k 1",
+                 "extension degree m=0", id="qconcat-m0"),
 ])
 def test_quantum_exit_codes(code_files, capsys, args, message):
-    """One row per exit-1 case of `quantum css`, `allone` and `best`: empty
-    stdout and one stderr line.  The first, fifth and ninth rows are refused
-    by a containment check (contains_code, contains_word)."""
+    """One row per exit-1 case of `quantum css`, `allone`, `best`, `negaexp`,
+    `concat` and `qconcat`: empty stdout and one stderr line.  The first,
+    fifth and ninth rows are refused by a containment check (contains_code,
+    contains_word)."""
     assert run_cli(args.split()) == 1
     out, err = capsys.readouterr()
     assert out == "" and len(err.strip().splitlines()) == 1

@@ -413,6 +413,31 @@ def test_conjugation_keeps_distance_certificates():
     assert (res.value, res.kind) == (3, "exact")
 
 
+@pytest.mark.parametrize("q", [4, 9, 16, 25, 49, 81])
+def test_conjugated_is_the_code_of_the_conjugated_matrix(q):
+    """conjugated() keeps the rref and its pivots: it is the code built
+    from the conjugated matrix, design and declared distances included."""
+    f, rng = field_from_q(q), np.random.default_rng(q)
+    for _ in range(20):
+        n = int(rng.integers(2, 12))
+        k = int(rng.integers(1, n + 1))
+        rows = rng.integers(0, q, (k, n)) * (rng.random((k, n)) < 0.6)
+        rows[0, rng.integers(n)] = rng.integers(1, q)
+        design = int(rng.integers(1, n + 1)) if rng.random() < 0.5 else None
+        declared = int(rng.integers(1, n + 1)) if rng.random() < 0.5 else None
+        c = LinearCode(f, rows, provenance="c", design_distance=design,
+                       declared_distance=declared)
+        got = c.conjugated()
+        want = LinearCode(f, f.vconj(c.matrix), provenance="conj(c)",
+                          design_distance=design, declared_distance=declared)
+        assert np.array_equal(got.matrix, want.matrix)
+        assert got.matrix.dtype == want.matrix.dtype
+        assert got.pivots == want.pivots
+        assert (got.n, got.k, got.provenance, got.design_distance,
+                got.declared_distance) == (want.n, want.k, want.provenance,
+                                           design, declared)
+
+
 def test_mds_and_witness():
     from qct.families import rs_code
     rs = rs_code(4, 2)

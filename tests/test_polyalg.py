@@ -68,6 +68,23 @@ def test_defining_set_closure_validation():
         DefiningSet("negacyclic", 8, 81, frozenset({2}))  # even exponent
 
 
+@pytest.mark.parametrize("raw,kind,n,q,message", [
+    ([], "cyclic", 15, 3, "gcd(15,3) != 1"),
+    ([2, 40], "negacyclic", 8, 4, "gcd(16,4) != 1"),
+    ([1, 15], "cyclic", 15, 2, "exponent 15 out of range mod 15"),
+    ([-1], "cyclic", 15, 2, "exponent -1 out of range mod 15"),
+    ([18], "negacyclic", 8, 81, "exponent 18 out of range mod 16"),
+    ([1, 17, 4], "negacyclic", 8, 81, "exponent 17 out of range mod 16"),
+    ([1, 3, 4, 17], "negacyclic", 8, 81, "negacyclic exponent 4 is even"),
+])
+def test_defining_set_closure_errors(raw, kind, n, q, message):
+    """The gcd is checked first, then each raw exponent in turn: its
+    range, then, for a negacyclic set, its parity."""
+    with pytest.raises(PreconditionError) as err:
+        defining_set_closure(raw, kind, n, q)
+    assert str(err.value) == message
+
+
 def test_odd_residues():
     assert odd_residues(4) == frozenset({1, 3, 5, 7})
 
@@ -93,6 +110,16 @@ def test_hermitian_dual_defining_set_example():
     assert set(td.exponents) == {1, 3, 9, 11, 13, 15}
     with pytest.raises(PreconditionError):
         hermitian_dual_defining_set(t, 3)
+
+
+def test_splitting_field_of_root_order_one_is_the_field():
+    """Mod 1 the only residue is 0, and its orbit has size 1: the field
+    already holds the order-1 root of unity."""
+    f4 = build_field(2, 2)
+    ext, _ = splitting_field(f4, 1)
+    assert ext == f4
+    assert generator_from_defining_set(
+        DefiningSet("cyclic", 1, 4, frozenset()), f4) == [1]
 
 
 def test_splitting_field_and_unity_root():
