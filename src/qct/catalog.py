@@ -4,28 +4,26 @@ Entries are content-addressed: the id is the SHA-256 hash of the canonical
 payload serialization, so putting the same record twice is a no-op.
 
 A sidecar index, `<catalog>.idx`, spares a load the parse of lines already
-checked.  It is only a cache.  It is a chain of batches, each three fields
-split by spaces and ended by a newline: the SHA-256 of the rest of the
-batch, a JSON header and the batch's rows as raw bytes.  The header holds
-the byte range [from, to) of the catalog lines the batch covers, the number
-of newlines before `to`, the SHA-256 of the catalog's first `to` bytes and
-the number of rows.  The rows are one fixed-width little-endian `ROW`
-record per catalog line: the id as 32 bytes, the kind's place in
+checked.  It is only a cache.  It holds one fixed-width little-endian `ROW`
+record per catalog line, 178 bytes: the id as 32 bytes, the kind's place in
 KINDS, a state byte (_HAS_Q: the payload has a q key, even a null one;
 _HAS_FIELD: its field is an object), the line's byte range, and n, k, q, dz,
-dx and the field's p and e as int64, _NULL when null or absent.  So a line
-is valid only if its id is 64 lowercase hex digits, its kind is in KINDS,
-and each of those keys is null or an integer of magnitude below 2^63.  A
-load reads the rows with one `np.frombuffer`, and `search` filters them as
-columns.
+dx and the field's p and e as int64, _NULL when null or absent; then the
+number of newlines through the line, the raw SHA-256 of the catalog through
+the line, and the raw SHA-256 of every index byte before that last field.
+So a line is valid only if its id is 64 lowercase hex digits, its kind is
+in KINDS, and each of those keys is null or an integer of magnitude below
+2^63.  A load reads the records with one `np.frombuffer`, and `search`
+filters them as columns.
 
-The batches that chain from byte 0 are trusted only while that prefix still
-has the recorded hash, so any edit of a covered line makes the whole index
-stale.  A load parses the lines past the covered prefix and appends their
-batch; a missing, bad or stale index costs one full parse and is rebuilt.
-An index in an older format, such as JSON rows, is bad in that sense and is
-rebuilt once.  `put` never touches the index, and a failure to write it is
-ignored.
+A load checks only the last whole record's two digests: one SHA-256 of the
+index and one of the catalog prefix that record ends, so any edit of a
+covered line or of an index byte voids the whole index.  It parses the
+lines past that record and appends their records; a missing, bad or stale
+index, or one in an older format, costs one full parse and is rewritten.
+`put` appends its line's record when its view of both files is current:
+its line landed at the byte this object expected, and the index has the
+length it expected.  A failure to write the index is ignored.
 """
 
 from __future__ import annotations
@@ -53,7 +51,8 @@ _ID = re.compile("[0-9a-f]{64}")
 _HAS_Q, _HAS_FIELD = 1, 2   # bits of a row's state byte
 ROW = np.dtype([("id", "V32"), ("kind", "u1"), ("state", "u1"),
                 ("start", "<i8"), ("end", "<i8"),
-                *((key, "<i8") for key in SEARCH_KEYS + ("p", "e"))])
+                *((key, "<i8") for key in SEARCH_KEYS + ("p", "e")),
+                ("lines", "<i8"), ("sha", "V32"), ("check", "V32")])
 
 
 def payload_id(payload: dict) -> str:
@@ -84,66 +83,67 @@ class Catalog:
         self._added = {}   # id -> CatalogEntry put through this object
         self.skipped_tail = None   # line number of a cut-short last line
         self._at_line_start = True
+        # the catalog as this object has read and written it (length,
+        # newlines and SHA-256), and the index likewise; _index_size is
+        # None once the index is not known to be current
+        self._end, self._lines, self._digest = 0, 0, hashlib.sha256()
+        self._index_size, self._check = 0, hashlib.sha256()
         self._load()
 
     def _load(self):
-        """Take the rows of the covered prefix from the index, if its hash
-        still holds, and parse the rest; then extend or rebuild the index."""
-        digest = hashlib.sha256()
+        """Take the records from the index, if its last record's digests
+        still hold, and parse the lines past them; then extend the index,
+        or rewrite it with the records that hold."""
         try:
             with open(self.path, "rb") as fh:
-                index = _read_index(self.index_path)
-                if index is not None:
-                    covered, lines, old_rows, sha, append = index
-                    prefix = _hash_prefix(fh, covered)
-                    if prefix and prefix[0].hexdigest() == sha:
-                        digest, self._at_line_start = prefix
-                    else:
-                        index = None
+                index = _read_index(self.index_path, fh)
                 if index is None:
-                    covered, lines, append = 0, 0, False
-                    old_rows = np.empty(0, ROW)
+                    old, self._index_size = self._rows, None
                     fh.seek(0)
-                new_rows, end, newlines = self._scan(fh, covered, lines + 1,
-                                                     digest)
+                else:
+                    old, self._index_size, self._check, self._digest, \
+                        self._at_line_start = index
+                    self._lines = int(old["lines"][-1])
+                new = self._scan(fh, int(old["end"][-1]) if len(old) else 0)
         except FileNotFoundError:
             return
         except OSError as exc:
             raise QctError(f"cannot read catalog {self.path}: {exc}")
-        rows = np.concatenate([old_rows, new_rows])
-        self._rows = _one_row_per_id(rows)
-        if end > covered:
-            header = {"from": covered if append else 0, "to": end,
-                      "lines": lines + newlines, "sha256": digest.hexdigest()}
-            _write_index(self.index_path, header,
-                         new_rows if append else rows, append)
+        self._rows = _one_row_per_id(np.concatenate([old, new]) if len(new)
+                                     else old)
+        if self._index_size is None or len(new):   # rewrite, or append
+            head = b"" if self._index_size else old.tobytes()
+            self._index_size = _write_index(
+                self.index_path, head + _seal(new, self._check),
+                self._index_size)
 
-    def _scan(self, fh, offset: int, number: int, digest):
-        """Parse the lines from `fh`'s position, byte `offset` and line
-        `number`, to the end.  An unparsable last line with no newline is a
-        write cut short: it is skipped and named in `skipped_tail`, and the
-        next put starts on a fresh line.  Any other bad line is an error.
-        Returns the index rows, the end of the last line kept and the
-        number of newlines kept; the kept bytes go into `digest`."""
-        rows, newlines = [], 0
-        for number, line in enumerate(fh, number):
-            end = offset + len(line)
-            if line.strip():
-                try:
-                    entry, values = _parse(line)
-                except (ValueError, KeyError, TypeError) as exc:
-                    if line.endswith(b"\n"):
-                        raise QctError(f"cannot read catalog {self.path}: "
-                                       f"line {number}: {exc}")
-                    self.skipped_tail = number
-                    self._at_line_start = False
-                    break
-                rows.append(_row(entry, offset, end, values))
-            digest.update(line)
+    def _scan(self, fh, offset: int) -> np.ndarray:
+        """Parse the lines from `fh`'s position, byte `offset`, to the end.
+        An unparsable last line with no newline is a write cut short: it is
+        skipped and named in `skipped_tail`, and the next put starts on a
+        fresh line.  Any other bad line is an error.  The kept bytes go
+        into `_digest`, `_end` and `_lines`; returns their records, with
+        the check field still empty."""
+        rows = []
+        for number, line in enumerate(fh, self._lines + 1):
+            try:   # a blank line holds no entry
+                entry, values = _parse(line) if line.strip() else (None, 0)
+            except (ValueError, KeyError, TypeError) as exc:
+                if line.endswith(b"\n"):
+                    raise QctError(f"cannot read catalog {self.path}: "
+                                   f"line {number}: {exc}")
+                self.skipped_tail = number
+                self._at_line_start = False
+                break
+            self._digest.update(line)
             self._at_line_start = line.endswith(b"\n")
-            newlines += self._at_line_start
-            offset = end
-        return np.array(rows, ROW), offset, newlines
+            self._lines += self._at_line_start
+            if entry:
+                rows.append(_row(entry, offset, offset + len(line), values,
+                                 self._lines, self._digest.digest()))
+            offset += len(line)
+        self._end = offset
+        return np.array(rows, ROW)
 
     def _find(self, eid) -> np.ndarray:
         """The loaded row of `eid`, as an array of at most one row."""
@@ -200,7 +200,7 @@ class Catalog:
             raise QctError("catalog payload must be a JSON object, not "
                            f"{type(payload).__name__}")
         try:
-            _key_values(payload)
+            values = _key_values(payload)
         except TypeError as exc:
             raise QctError(f"catalog {exc}")
         inputs = list(inputs)
@@ -212,16 +212,15 @@ class Catalog:
             return self.get(eid)
         entry = CatalogEntry(eid, kind, payload,
                              datetime.now(timezone.utc).isoformat(), inputs)
-        line = json.dumps(entry.to_json(), sort_keys=True) + "\n"
-        if not self._at_line_start:
-            line = "\n" + line
-        data = line.encode()
+        line = (json.dumps(entry.to_json(), sort_keys=True) + "\n").encode()
+        data = line if self._at_line_start else b"\n" + line
         try:
             # one append-mode write, so a line is never split between calls
             fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT,
                          0o666)
             try:
                 written = os.write(fd, data)
+                landed = os.lseek(fd, 0, os.SEEK_CUR) - written
             finally:
                 os.close(fd)
         except OSError as exc:
@@ -231,6 +230,17 @@ class Catalog:
                            f"{written} of {len(data)} bytes")
         self._at_line_start = True
         self._added[eid] = entry
+        if landed != self._end or self._index_size is None:
+            self._index_size = None   # the next load parses the gap
+            return entry
+        self._digest.update(data)
+        self._end += len(data)
+        self._lines += data.count(b"\n")
+        record = np.array([_row(entry, self._end - len(line), self._end,
+                                values, self._lines, self._digest.digest())],
+                          ROW)
+        self._index_size = _write_index(
+            self.index_path, _seal(record, self._check), self._index_size)
         return entry
 
     def get(self, eid: str) -> CatalogEntry:
@@ -324,13 +334,15 @@ def _equal(column: np.ndarray, value) -> np.ndarray:
     return (column == value) & (column != _NULL)
 
 
-def _row(entry: CatalogEntry, start: int, end: int, values: list) -> tuple:
-    """An entry's index row, a ROW record: id, kind, state, the byte range
-    of its line and its _key_values."""
+def _row(entry: CatalogEntry, start: int, end: int, values: list,
+         lines: int = 0, sha: bytes = b"") -> tuple:
+    """An entry's ROW record: id, kind, state, the byte range of its line,
+    its _key_values, the newlines and SHA-256 of the catalog through the
+    line, and an empty check field."""
     p = entry.payload
     return (bytes.fromhex(entry.id), KINDS.index(entry.kind),
             _HAS_Q * ("q" in p) | _HAS_FIELD * isinstance(p.get("field"), dict),
-            start, end, *values)
+            start, end, *values, lines, sha, b"")
 
 
 def _one_row_per_id(rows: np.ndarray) -> np.ndarray:
@@ -362,56 +374,50 @@ def _hash_prefix(fh, size: int):
     return (digest, buf[got - 1] == 10) if got else None
 
 
-def _read_index(path: str):
-    """The part of the index at `path` that chains from byte 0, as (covered,
-    newlines, rows, sha256, appendable), or None when there is none.
-    Each batch is checked against its own SHA-256, so a batch that fails
-    its checksum, or is not a header and the rows it counts, voids the
-    whole index.  A last batch that runs past the end is a write cut short
-    and is dropped.  Batches are taken while each starts where the last one
-    taken ends.  The index may be appended to only if it ends with the last
-    batch taken."""
+def _read_index(path: str, fh):
+    """The records of the index at `path`, when the last whole one's two
+    digests hold: the SHA-256 of every index byte before its check field,
+    and that of `fh`'s first bytes up to the end of its line.  Returns
+    (records, the index's length or None when a cut-short record follows
+    them, the SHA-256 state of the records, that of those catalog bytes,
+    whether they end a line), or None."""
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        view = memoryview(data)   # slices of it are not copies
-        batches, at = [], 0
-        while (gap := data.find(b" ", at + 65)) >= 0:   # header, then rows
-            batch = json.loads(data[at + 65:gap])
-            if batch["rows"] < 0:
-                raise ValueError("index batch has a negative row count")
-            end = gap + 1 + batch["rows"] * ROW.itemsize
-            if end >= len(data):
-                break   # cut short
-            if data[end] != 10 or hashlib.sha256(view[at + 65:end]) \
-                    .hexdigest().encode() != data[at:at + 64]:
-                raise ValueError("index batch fails its checksum")
-            batches.append((batch, view[gap + 1:end]))
-            at = end + 1
-        covered, newlines, parts, sha, last = 0, 0, [], None, None
-        for i, (batch, rows) in enumerate(batches):
-            to = batch["to"]
-            if batch["from"] != covered or not covered <= to:
-                continue
-            parts.append(rows)
-            covered, newlines, sha, last = to, batch["lines"], \
-                batch["sha256"], i
-        rows = np.frombuffer(b"".join(parts), ROW)
-    except (OSError, ValueError, TypeError, KeyError):
+        with open(path, "rb") as index:
+            data = index.read()
+        rows = np.frombuffer(data, ROW, len(data) // ROW.itemsize)
+        check = hashlib.sha256(memoryview(data)[:rows.nbytes - 32])
+        if check.digest() != rows["check"][-1].tobytes():
+            return None
+    except (OSError, IndexError):   # unreadable, or not one whole record
         return None
-    if last is None:
+    prefix = _hash_prefix(fh, int(rows["end"][-1]))
+    if not prefix or prefix[0].digest() != rows["sha"][-1].tobytes():
         return None
-    return covered, newlines, rows, sha, at == len(data) and \
-        last == len(batches) - 1
+    check.update(rows["check"][-1].tobytes())
+    return rows, rows.nbytes if rows.nbytes == len(data) else None, check, \
+        *prefix
 
 
-def _write_index(path: str, header: dict, rows: np.ndarray, append: bool):
-    """Append one batch, or rewrite the index as that one batch."""
-    text = (json.dumps({**header, "rows": len(rows)}, separators=(",", ":"))
-            .encode() + b" " + rows.tobytes())
-    data = hashlib.sha256(text).hexdigest().encode() + b" " + text + b"\n"
+def _seal(rows: np.ndarray, check) -> bytearray:
+    """The bytes of `rows`, each record's check field set to the SHA-256 of
+    the index before it; `check` holds the index so far and takes them."""
+    data = bytearray(rows.tobytes())
+    for end in range(ROW.itemsize, len(data) + 1, ROW.itemsize):
+        check.update(data[end - ROW.itemsize:end - 32])
+        data[end - 32:end] = check.digest()
+        check.update(data[end - 32:end])
+    return data
+
+
+def _write_index(path: str, data, size: int | None = None):
+    """Append `data` to the index if it is `size` bytes long or, with no
+    `size`, write the index as `data`.  Returns the index's new length, or
+    None when it was not written."""
     try:
-        with open(path, "ab" if append else "wb") as fh:
-            fh.write(data)
+        with open(path, "wb" if size is None else "ab") as fh:
+            if fh.tell() == (size or 0):   # a fresh "wb" file is empty
+                fh.write(data)
+                return fh.tell()
     except OSError:
         pass   # the index is only a cache
+    return None

@@ -12,7 +12,7 @@ import click
 
 from . import audit as audit_mod
 from . import families, lincode, quantum
-from .catalog import Catalog
+from .catalog import KINDS, Catalog
 from .errors import PreconditionError, QctError
 from .galois import (build_field, field_from_q, find_dual_basis,
                      find_self_dual_basis, get_embedding, standard_basis)
@@ -426,8 +426,7 @@ def catalog_group(ctx):
 
 @catalog_group.command("put")
 @click.argument("source")
-@click.option("--kind", type=click.Choice(["classical", "quantum", "report"]),
-              required=True)
+@click.option("--kind", type=click.Choice(KINDS), required=True)
 @click.pass_context
 def catalog_put(ctx, source, kind):
     entry = _open_catalog(ctx).put(kind, _read_json(source))
@@ -442,7 +441,7 @@ def catalog_get(ctx, eid):
 
 
 @catalog_group.command("list")
-@click.option("--kind", default=None)
+@click.option("--kind", type=click.Choice(KINDS), default=None)
 @click.pass_context
 def catalog_list(ctx, kind):
     for entry in _open_catalog(ctx).list(kind):

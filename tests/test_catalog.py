@@ -1,8 +1,13 @@
+import hashlib
 import json
 import os
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qct import catalog
 from qct.catalog import KINDS, Catalog, payload_id
@@ -174,17 +179,19 @@ def _index(path):
     return path.parent / (path.name + ".idx")
 
 
-def _batches(path):
-    """The number of batches in the index of `path`: each is a SHA-256, a
-    JSON header and the raw rows it counts, and ends with a newline."""
-    data, count, at = _index(path).read_bytes(), 0, 0
-    while at < len(data):
-        gap = data.index(b" ", at + 65)
-        rows = json.loads(data[at + 65:gap])["rows"]
-        at = gap + 1 + rows * catalog.ROW.itemsize + 1
-        assert data[at - 1:at] == b"\n"
-        count += 1
-    return count
+def _records(path):
+    """The number of records in the index of `path`, which holds whole
+    fixed-width records only."""
+    size = len(_index(path).read_bytes())
+    assert size % catalog.ROW.itemsize == 0
+    return size // catalog.ROW.itemsize
+
+
+def _rebuilt(path):
+    """The index a full parse of the catalog at `path` writes."""
+    _index(path).unlink()
+    Catalog(str(path))
+    return _index(path).read_bytes()
 
 
 def _count_parses(monkeypatch):
@@ -198,9 +205,8 @@ def _count_parses(monkeypatch):
 def test_index_spares_parsing(tmp_path, monkeypatch):
     path = tmp_path / "cat.jsonl"
     _store(path, 40)
-    assert not _index(path).exists()   # put never writes the index
-    Catalog(str(path))
-    built = _index(path).read_bytes()
+    built = _index(path).read_bytes()   # put wrote one record per line
+    assert _records(path) == 40
     calls = _count_parses(monkeypatch)
     cat = Catalog(str(path))
     assert calls == [] and _index(path).read_bytes() == built
@@ -209,22 +215,82 @@ def test_index_spares_parsing(tmp_path, monkeypatch):
     hits = cat.search(n=7, dz_min=4)
     assert hits and len(calls) == 1 + len(hits)
     cat.put("quantum", {"n": 3})
-    assert _index(path).read_bytes() == built
+    assert _index(path).read_bytes()[:len(built)] == built
+    assert _records(path) == 41 and len(calls) == 1 + len(hits)
+
+
+@pytest.mark.parametrize("objects", ["one", "one_per_put"])
+def test_put_writes_the_index_a_full_parse_writes(tmp_path, monkeypatch,
+                                                   objects):
+    """Puts through one object, or through a fresh object each (as one
+    `qct catalog put` process each does), leave an index that a load
+    trusts whole and that is byte-identical to a full rebuild."""
+    path = tmp_path / "cat.jsonl"
+    if objects == "one":
+        _store(path, 30, seed=3)
+    else:
+        for i in range(30):
+            _store(path, 1, seed=i)
+    calls = _count_parses(monkeypatch)
+    cat = Catalog(str(path))
+    assert calls == [] and len(cat.list()) == 30
+    assert _records(path) == 30
+    assert _index(path).read_bytes() == _rebuilt(path)
+
+
+def test_put_whose_line_lands_elsewhere_writes_no_record(tmp_path,
+                                                        monkeypatch):
+    """A put writes its record only if its line lands where its object
+    expects the catalog to end, not after a foreign append or a skipped
+    cut-short tail, and if the index has the length the object expects.
+    Later puts through that object write none either, and the next load
+    parses the lines past the index."""
+    path = tmp_path / "cat.jsonl"
+    _store(path, 5)
+    cat = Catalog(str(path))
+    with open(path, "ab") as fh:
+        fh.write(_line("quantum", {"n": 11}, 9))
+    cat.put("quantum", {"n": 12})
+    cat.put("quantum", {"n": 13})
+    assert _records(path) == 5
+    calls = _count_parses(monkeypatch)
+    assert len(Catalog(str(path)).list()) == 8
+    assert len(calls) == 3 + 8   # the lines past the index, then list()
+    assert _records(path) == 8
+    assert _index(path).read_bytes() == _rebuilt(path)
+
+    cat = Catalog(str(path))
+    cut = _index(path).read_bytes()[:-1]   # shortened by another writer
+    _index(path).write_bytes(cut)
+    cat.put("quantum", {"n": 14})
+    assert _index(path).read_bytes() == cut
+    calls.clear()
+    Catalog(str(path))
+    assert len(calls) == 2 and _records(path) == 9
+
+    with open(path, "ab") as fh:   # a write cut short mid-line
+        fh.write(b'{"id": "abc", "kind": "quan')
+    cat = Catalog(str(path))
+    assert cat.skipped_tail == 10
+    cat.put("classical", {"n": 3})
+    assert _records(path) == 9
+    with pytest.raises(QctError, match="line 10"):
+        Catalog(str(path))
 
 
 def test_no_index_rebuilds_it(tmp_path):
     path = tmp_path / "cat.jsonl"
     want = [e.to_json() for e in _store(path, 10).list()]
-    assert not _index(path).exists()
+    written = _index(path).read_bytes()
+    _index(path).unlink()
     assert [e.to_json() for e in Catalog(str(path)).list()] == want
-    assert _batches(path) == 1
+    assert _index(path).read_bytes() == written
 
 
-def test_stale_index_gains_a_batch_for_appended_lines(tmp_path,
+def test_stale_index_gains_records_for_appended_lines(tmp_path,
                                                       monkeypatch):
     path = tmp_path / "cat.jsonl"
     first = _store(path, 10)
-    Catalog(str(path))
     other = tmp_path / "other.jsonl"
     added = Catalog(str(other)).put("quantum", {"n": 99, "q": 4, "dz": 9})
     with open(path, "ab") as fh:   # a valid line appended without qct
@@ -232,51 +298,51 @@ def test_stale_index_gains_a_batch_for_appended_lines(tmp_path,
     cat = Catalog(str(path))
     assert [e.id for e in cat.search(n=99, q=4)] == [added.id]
     assert len(cat.list()) == len(first.list()) + 1
-    assert _batches(path) == 2
+    assert _records(path) == 11
     calls = _count_parses(monkeypatch)
     assert [e.id for e in Catalog(str(path)).search(n=99)] == [added.id]
     assert len(calls) == 1   # the hit; the load parsed nothing
+    assert _index(path).read_bytes() == _rebuilt(path)
 
 
 @pytest.mark.parametrize("damage", ["garbage", "cut_row", "flipped_row",
                                     "directory"])
-def test_bad_index_falls_back_to_a_full_parse(tmp_path, damage):
+def test_bad_index_falls_back_to_a_full_parse(tmp_path, monkeypatch, damage):
     path = tmp_path / "cat.jsonl"
     want = [e.to_json() for e in _store(path, 12).list()]
-    Catalog(str(path))
     idx = _index(path)
     good = idx.read_bytes()
-    rows_at = good.index(b" ", 65) + 1   # the only batch's rows
+    size = catalog.ROW.itemsize
     if damage == "garbage":
         idx.write_bytes(b"\x00garbage\n[1, 2]\n")
-    elif damage == "cut_row":   # cut short inside the last row
-        idx.write_bytes(good[:-1 - catalog.ROW.itemsize // 2])
-    elif damage == "flipped_row":   # one byte of row 1's offset, same length
-        at = rows_at + catalog.ROW.itemsize + catalog.ROW.fields["start"][1]
+    elif damage == "cut_row":   # cut short inside the first record
+        idx.write_bytes(good[:size // 2])
+    elif damage == "flipped_row":   # one byte of record 5's offset
+        at = 5 * size + catalog.ROW.fields["start"][1]
         idx.write_bytes(good[:at] + bytes([good[at] ^ 1]) + good[at + 1:])
     else:   # an index that can be neither read nor written
         idx.unlink()
         idx.mkdir()
+    calls = _count_parses(monkeypatch)
     cat = Catalog(str(path))
+    assert len(calls) == 12
     assert [e.to_json() for e in cat.list()] == want
     if damage != "directory":
         assert idx.read_bytes() == good   # rebuilt
 
 
-def test_cut_short_last_batch_is_dropped(tmp_path, monkeypatch):
-    """A last index batch that runs past the end of the index is a write
-    cut short: the batches before it still count, so only the lines past
-    them are parsed, and the index is written again as one batch."""
+def test_cut_short_last_record_is_dropped(tmp_path, monkeypatch):
+    """A last index record that runs past the end of the index is a write
+    cut short: the records before it still count, so only the lines past
+    them are parsed, and the index is written again whole."""
     path = tmp_path / "cat.jsonl"
     want = [e.to_json() for e in _store(path, 6).list()]
-    Catalog(str(path))
     added = Catalog(str(path)).put("quantum", {"n": 99})
-    Catalog(str(path))
-    assert _batches(path) == 2
-    _index(path).write_bytes(_index(path).read_bytes()[:-10])
+    good = _index(path).read_bytes()
+    _index(path).write_bytes(good[:-10])
     calls = _count_parses(monkeypatch)
     cat = Catalog(str(path))
-    assert len(calls) == 1 and _batches(path) == 1
+    assert len(calls) == 1 and _index(path).read_bytes() == good
     assert [e.to_json() for e in cat.list()] == want + [added.to_json()]
 
 
@@ -529,10 +595,40 @@ def test_old_json_index_is_rebuilt_once(tmp_path, monkeypatch):
     assert answers() == want
     assert len(calls) == 5 + 5 + 11   # the rebuild, list() and the hits
     rebuilt = _index(path).read_bytes()
-    assert rebuilt != OLD_JSON_INDEX and _batches(path) == 1
+    assert rebuilt != OLD_JSON_INDEX and _records(path) == 5
     calls.clear()
     assert answers() == want and len(calls) == 5 + 11
     assert _index(path).read_bytes() == rebuilt
+
+
+def _batch_index(path, records: bytes) -> bytes:
+    """The catalog at `path` indexed in the batch format that came before
+    records, as one batch: the SHA-256 of the rest of the batch, a JSON
+    header, and the search rows, the first part of each record, as raw
+    bytes.  `records` is its index in today's format."""
+    size, cut = catalog.ROW.itemsize, catalog.ROW.fields["lines"][1]
+    rows = b"".join(records[at:at + cut] for at in range(0, len(records),
+                                                         size))
+    data = path.read_bytes()
+    header = {"from": 0, "to": len(data), "lines": data.count(b"\n"),
+              "sha256": hashlib.sha256(data).hexdigest(),
+              "rows": len(records) // size}
+    text = json.dumps(header, separators=(",", ":")).encode() + b" " + rows
+    return hashlib.sha256(text).hexdigest().encode() + b" " + text + b"\n"
+
+
+def test_batch_index_is_rebuilt_once(tmp_path, monkeypatch):
+    path = tmp_path / "cat.jsonl"
+    want = [e.to_json() for e in _store(path, 9).list()]
+    records = _index(path).read_bytes()
+    _index(path).write_bytes(_batch_index(path, records))
+    calls = _count_parses(monkeypatch)
+    assert [e.to_json() for e in Catalog(str(path)).list()] == want
+    assert len(calls) == 9 + 9   # the rebuild, then list()
+    assert _index(path).read_bytes() == records
+    calls.clear()
+    Catalog(str(path))
+    assert calls == []
 
 
 def test_non_integer_keys_under_an_older_index_are_a_bad_line(tmp_path):
@@ -559,3 +655,71 @@ def test_get_checks_the_id_of_the_line_it_parses(tmp_path):
     assert cat.get("%064d" % 1).id == "%064d" % 1
     with pytest.raises(QctError, match=f"no longer holds entry {first}"):
         cat.get(first)
+
+
+PROPERTY_QUERIES = [dict(), dict(n=7), dict(q=4), dict(k=2, q=2),
+                    dict(n=15, dz_min=3), dict(dx_min=2)]
+PAYLOADS = st.fixed_dictionaries(
+    {"n": st.sampled_from((7, 15)), "k": st.integers(1, 3)},
+    optional={"q": st.sampled_from((2, 4, None)), "dz": st.integers(0, 5),
+              "dx": st.integers(0, 5)})
+OPERATIONS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(("put_same", "put_new", "foreign")),
+              st.sampled_from(KINDS), PAYLOADS),
+    st.tuples(st.sampled_from(("cut", "flip")), st.integers(0, 1 << 20)),
+    st.just(("check",))), max_size=14)
+
+
+def _check_against_a_full_parse(path):
+    """A fresh load answers list, search and get as a parse of every line
+    does: each id at its first line, with its last line."""
+    want = {}
+    for line in path.read_bytes().splitlines():
+        rec = json.loads(line)
+        want[rec["id"]] = catalog.CatalogEntry(
+            rec["id"], rec["kind"], rec["payload"], rec["created"],
+            rec["inputs"])
+    entries = sorted(want.values(), key=lambda e: e.created)
+    cat = Catalog(str(path))
+    assert [e.to_json() for e in cat.list()] == [e.to_json()
+                                                 for e in entries]
+    for kind in KINDS:
+        assert [e.id for e in cat.list(kind)] == [e.id for e in entries
+                                                  if e.kind == kind]
+    for query in PROPERTY_QUERIES:
+        assert [e.to_json() for e in cat.search(**query)] == [
+            e.to_json() for e in _old_search(entries, **query)]
+    for entry in entries:
+        assert cat.get(entry.id).to_json() == entry.to_json()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(OPERATIONS)
+def test_any_interleaving_answers_as_a_full_parse(operations):
+    """Puts through a long-lived object or a fresh one, foreign appends,
+    and an index cut short or with one byte flipped, in any order: a fresh
+    load answers as a parse of every line, whatever the index holds."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cat.jsonl"
+        path.touch()
+        idx = _index(path)
+        cat = Catalog(str(path))
+        for day, (op, *args) in enumerate(operations, 1):
+            if op == "put_new":
+                cat = Catalog(str(path))
+            if op in ("put_same", "put_new"):
+                cat.put(args[0], args[1])
+            elif op == "foreign":
+                with open(path, "ab") as fh:
+                    fh.write(_line(args[0], args[1], day))
+            elif op == "check":
+                _check_against_a_full_parse(path)
+            elif idx.exists() and idx.stat().st_size:
+                data = bytearray(idx.read_bytes())
+                at = args[0] % len(data)
+                if op == "cut":
+                    del data[at:]
+                else:
+                    data[at] ^= 1 << args[0] % 8
+                idx.write_bytes(bytes(data))
+        _check_against_a_full_parse(path)

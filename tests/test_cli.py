@@ -560,6 +560,8 @@ STORED = json.dumps({"id": "a" * 64, "kind": "quantum", "payload": {"n": 7},
     pytest.param(STORED + b"\n" + STORED.replace(
                      b'"2026-01-01T00:00:00+00:00"', b"5") + b"\n",
                  ["catalog", "list"], 1, "line 2", id="non-string-created"),
+    pytest.param(STORED + b"\n", ["catalog", "list", "--kind", "quantun"], 2,
+                 "'quantun' is not one of", id="list-unknown-kind"),
 ])
 def test_catalog_exit_codes(tmp_path, capsys, monkeypatch, store, args, code,
                             message):
