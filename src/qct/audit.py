@@ -300,14 +300,14 @@ def audit_table3(cap: int = DEFAULT_CAP) -> VerificationReport:
 # -- Table 4: basis-expanded RS pairs -----------------------------------------
 
 def table4_matches(q: int, m: int, k: int, dpair: set):
-    """All (k1, k2) whose expansion formula reproduces dimension k and the
-    unordered distance pair, plus the near-misses sharing either fact."""
-    big_q = q ** m
+    """All (k1, k2) whose concat_expand_formula reproduces dimension k and
+    the unordered distance pair, plus the near-misses sharing either fact."""
     hits, near = [], []
-    for k1 in range(2, big_q):
+    for k1 in range(2, q ** m):
         for k2 in range(1, k1):
-            pair = {2 * (big_q - k1), 2 * (k2 + 1)}
-            dim_ok = m * (k1 - k2) == k
+            _, k_formula, da, db = quantum.concat_expand_formula(q, m, k1, k2)
+            pair = {da, db}
+            dim_ok = k_formula == k
             if dim_ok and pair == dpair:
                 hits.append((k1, k2))
             elif pair == dpair or (dim_ok and pair & dpair):
@@ -317,7 +317,7 @@ def table4_matches(q: int, m: int, k: int, dpair: set):
 
 def _audit_table4_row(row) -> AuditRow:
     q, m, n, k, dz, dx = row
-    if n != (m + 1) * (q ** m - 1):
+    if n != quantum.concat_expand_formula(q, m, 0, 0)[0]:
         return _row(q, row[2:], [], {"reason": f"length {n} != (m+1)(q^m-1)"})
     if k % m:
         return _row(q, row[2:], [], {
@@ -329,9 +329,9 @@ def _audit_table4_row(row) -> AuditRow:
     detail = {"reason": "exhaustive (k1,k2) search found no match"}
     if near:
         detail["nearest"] = [
-            {"k1_k2": [k1, k2],
-             "pair": sorted({2 * (q ** m - k1), 2 * (k2 + 1)}, reverse=True),
-             "k": m * (k1 - k2)} for k1, k2 in sorted(set(near))[:4]]
+            {"k1_k2": [k1, k2], "pair": sorted(set(f[2:]), reverse=True),
+             "k": f[1]} for k1, k2 in sorted(set(near))[:4]
+            for f in [quantum.concat_expand_formula(q, m, k1, k2)]]
     return _row(q, row[2:], [], detail)
 
 
@@ -345,11 +345,12 @@ def audit_table4(cap: int = DEFAULT_CAP) -> VerificationReport:
 def _audit_rs_example(row, cap: int) -> AuditRow:
     n, k, dz, dx = row
     q = 16
-    if n != 2 * q - 1 or k % 2:
+    if n != quantum.rs_direct_sum_formula(q, 0, 0)[0] or k % 2:
         return _row(q, row, [], {
             "reason": "parameters outside the 2(k1-k2) shape"})
+    claims = {(k, dz, dx), (k, dx, dz)}   # the distance pair is unordered
     hits = [(k1, k2) for k1 in range(2, q) for k2 in range(1, k1)
-            if 2 * (k1 - k2) == k and {q - k1, k2 + 1} == {dz, dx}]
+            if quantum.rs_direct_sum_formula(q, k1, k2)[1:] in claims]
     if not hits:
         return _row(q, row, [], {
             "reason": "exhaustive (k1,k2) search found no match"})

@@ -152,49 +152,6 @@ def build():
     """Construct a code from a named family."""
 
 
-@build.command("rs")
-@click.option("--q", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@click.option("--json", "as_json", is_flag=True)
-def build_rs(q, k, as_json):
-    _emit_code(families.rs_code(q, k), as_json)
-
-
-@build.command("bch")
-@click.option("--q", type=int, required=True)
-@click.option("--n", type=int, required=True)
-@click.option("--delta", type=int, required=True)
-@click.option("--json", "as_json", is_flag=True)
-def build_bch(q, n, delta, as_json):
-    _emit_code(families.bch_narrow_sense(field_from_q(q), n, delta), as_json)
-
-
-@build.command("simplex")
-@click.option("--m", type=int, required=True)
-@click.option("--json", "as_json", is_flag=True)
-def build_simplex(m, as_json):
-    simplex, c0 = families.simplex_and_c0(m)
-    _emit_code(simplex, as_json)
-    _emit_code(c0, as_json)
-
-
-@build.command("preparata")
-@click.option("--m", type=int, required=True)
-@click.option("--i", type=int, required=True)
-@click.option("--json", "as_json", is_flag=True)
-def build_preparata(m, i, as_json):
-    _emit_code(families.preparata_like_bi(m, i), as_json)
-
-
-@build.command("negacyclic")
-@click.option("--q", type=int, required=True)
-@click.option("--n", type=int, required=True)
-@click.option("--s", type=int, required=True)
-@click.option("--json", "as_json", is_flag=True)
-def build_negacyclic(q, n, s, as_json):
-    _emit_code(families.negacyclic_cs(q, n, s), as_json)
-
-
 @code.command("distance")
 @click.argument("source")
 @click.option("--json", "as_json", is_flag=True)
@@ -287,68 +244,6 @@ def quantum_best(ctx, variant, m, source, as_json):
         _emit_aqc(rec, as_json)
 
 
-@quantum_group.command("bch1")
-@click.option("--m", type=int, required=True)
-@click.option("--d1", type=int, required=True)
-@click.option("--d2", type=int, required=True)
-@click.option("--json", "as_json", is_flag=True)
-@click.pass_context
-def quantum_bch1(ctx, m, d1, d2, as_json):
-    _emit_aqc(quantum.lemma_bch1(m, d1, d2, ctx.obj["cap"]), as_json)
-
-
-@quantum_group.command("charpin")
-@click.option("--m", type=int, required=True)
-@click.option("--i", type=int, required=True)
-@click.option("--json", "as_json", is_flag=True)
-@click.pass_context
-def quantum_charpin(ctx, m, i, as_json):
-    for rec in quantum.charpin_family(m, i, ctx.obj["cap"]):
-        _emit_aqc(rec, as_json)
-
-
-@quantum_group.command("rsds")
-@click.option("--q", type=int, required=True)
-@click.option("--k1", type=int, required=True)
-@click.option("--k2", type=int, required=True)
-@click.option("--json", "as_json", is_flag=True)
-@click.pass_context
-def quantum_rsds(ctx, q, k1, k2, as_json):
-    _emit_aqc(quantum.rs_direct_sum_aqc(q, k1, k2, ctx.obj["cap"]), as_json)
-
-
-@quantum_group.command("concat")
-@click.option("--q", type=int, required=True)
-@click.option("--m", type=int, required=True)
-@click.option("--k1", type=int, required=True)
-@click.option("--k2", type=int, required=True)
-@click.option("--json", "as_json", is_flag=True)
-@click.pass_context
-def quantum_concat(ctx, q, m, k1, k2, as_json):
-    _emit_aqc(quantum.concat_expand_aqc(q, m, k1, k2, ctx.obj["cap"]), as_json)
-
-
-@quantum_group.command("qconcat")
-@click.option("--q", type=int, required=True)
-@click.option("--m", type=int, required=True)
-@click.option("--k1", type=int, required=True)
-@click.option("--k2", type=int, required=True)
-@click.option("--k", type=int, required=True, help="inner AQMDS parameter")
-@click.option("--json", "as_json", is_flag=True)
-def quantum_qconcat(q, m, k1, k2, k, as_json):
-    _emit_aqc(quantum.quantum_concat_params(q, m, k1, k2, k), as_json)
-
-
-@quantum_group.command("negaexp")
-@click.option("--q", type=int, required=True)
-@click.option("--n", type=int, required=True)
-@click.option("--s", type=int, required=True)
-@click.option("--m", type=int, required=True)
-@click.option("--json", "as_json", is_flag=True)
-def quantum_negaexp(q, n, s, m, as_json):
-    _emit_aqc(quantum.negacyclic_expand_aqc(q, n, s, m), as_json)
-
-
 @quantum_group.command("bound")
 @click.option("--kind", required=True,
               type=click.Choice(["carlitz_uchiyama", "singleton_wt",
@@ -373,6 +268,47 @@ def quantum_bound(kind, m, delta, n, k, as_json):
         _echo_json({"kind": kind, **args, "value": value})
     else:
         click.echo(str(value))
+
+
+# -- family commands: one per table row ---------------------------------------
+
+_OPTION_HELP = {"qconcat --k": "inner AQMDS parameter"}
+
+
+def _family_command(group, name: str, params: str, call):
+    """`group name` with a required integer option for each word of `params`,
+    in order, and --json.  The word cap is passed the --cap of qct, not an
+    option.  Each record of a list or tuple result is emitted in turn."""
+    emit = _emit_code if group is build else _emit_aqc
+
+    def cmd(ctx, as_json, **opts):
+        out = call(*(ctx.obj["cap"] if p == "cap" else opts[p]
+                     for p in params.split()))
+        for rec in out if isinstance(out, (list, tuple)) else (out,):
+            emit(rec, as_json)
+
+    cmd = click.option("--json", "as_json", is_flag=True)(
+        click.pass_context(cmd))
+    for p in reversed([p for p in params.split() if p != "cap"]):
+        cmd = click.option(f"--{p}", type=int, required=True,
+                           help=_OPTION_HELP.get(f"{name} --{p}"))(cmd)
+    group.command(name)(cmd)
+
+
+for _row in (
+        (build, "rs", "q k", families.rs_code),
+        (build, "bch", "q n delta", lambda q, n, delta:
+         families.bch_narrow_sense(field_from_q(q), n, delta)),
+        (build, "simplex", "m", families.simplex_and_c0),
+        (build, "preparata", "m i", families.preparata_like_bi),
+        (build, "negacyclic", "q n s", families.negacyclic_cs),
+        (quantum_group, "bch1", "m d1 d2 cap", quantum.lemma_bch1),
+        (quantum_group, "charpin", "m i cap", quantum.charpin_family),
+        (quantum_group, "rsds", "q k1 k2 cap", quantum.rs_direct_sum_aqc),
+        (quantum_group, "concat", "q m k1 k2 cap", quantum.concat_expand_aqc),
+        (quantum_group, "qconcat", "q m k1 k2 k", quantum.quantum_concat_params),
+        (quantum_group, "negaexp", "q n s m", quantum.negacyclic_expand_aqc)):
+    _family_command(*_row)
 
 
 # -- audit --------------------------------------------------------------------

@@ -111,6 +111,8 @@ def simplex_and_c0(m: int) -> tuple[LinearCode, LinearCode]:
 def preparata_like_bi(m: int, i: int) -> LinearCode:
     """Binary cyclic code with defining set Cl(1) u Cl(2^i+1): parameters
     [2^m-1, 2^m-2m-1] with declared distance 5."""
+    if i < 1:   # below 1, 2^i + 1 is not an integer above 2
+        raise PreconditionError(f"i={i} must be at least 1")
     violations = []
     if m % 2 == 0:
         violations.append(f"m={m} must be odd")

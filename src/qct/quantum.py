@@ -295,45 +295,68 @@ def _charpin_record(family: int, c1: LinearCode, bi: LinearCode, k: int,
     return rec
 
 
-def _formula_then_css(da: int, db: int, c1: LinearCode, c2: LinearCode,
-                      prov: dict, cap: int):
-    """The normalized (dz, dx) of a formula record, verified at matrix level:
-    the CSS pair of C1 < C2 (its raw pair in `prov`) when q^k2 is within the
-    cap, else the formula pair (in `prov` either way) as declared."""
+def rs_direct_sum_formula(q: int, k1: int, k2: int) -> tuple:
+    """(n, k, d_a, d_b) of rs_direct_sum_aqc: 2q-1, 2(k1-k2), q-k1, k2+1."""
+    return 2 * q - 1, 2 * (k1 - k2), q - k1, k2 + 1
+
+
+def concat_expand_formula(q: int, m: int, k1: int, k2: int) -> tuple:
+    """(n, k, d_a, d_b) of concat_expand_aqc: (m+1)(q^m-1), m(k1-k2),
+    2(q^m-k1), 2(k2+1)."""
+    big_q = q ** m
+    return (m + 1) * (big_q - 1), m * (k1 - k2), 2 * (big_q - k1), 2 * (k2 + 1)
+
+
+def _nested_dimensions(k1: int, k2: int, top: int, name: str) -> list:
+    """The violation of 1 <= k2 < k1 <= top, where `name` spells top."""
+    if 1 <= k2 < k1 <= top:
+        return []
+    return [f"need 1 <= k2 < k1 <= {name}, got ({k1},{k2})"]
+
+
+def _formula_then_css(formula: tuple, c1: LinearCode, c2: LinearCode,
+                      what: tuple, prov: dict, cap: int) -> AqcParams:
+    """The record of formula (n, k, d_a, d_b) over C2's base field q,
+    verified at matrix level: C1 < C2 must nest, with length n and
+    k2 - k1 = k, or the error names what[0] (the codes) or what[1] (their
+    dimensions).  (dz, dx) is the CSS pair of C1 < C2 (its raw pair in
+    `prov`) when q^k2 is within the cap, else the formula pair (in `prov`
+    either way) as declared."""
+    n, k, da, db = formula
+    if not c2.contains_code(c1):
+        raise PreconditionError(f"{what[0]} are not nested")
+    if (c2.n, c2.k - c1.k) != (n, k):
+        raise CodeError(f"{what[1]} disagree with formula")
     prov["formula_pair"] = [da, db]
     if c2.field.order ** c2.k > cap:
-        return _normalize(*_declared(da, db), prov)
-    pair = _css_pair(c1, c2, cap)
-    prov["raw_pair"] = [w.to_json() for w in pair]
-    return _normalize(*pair, prov)
+        pair = _declared(da, db)
+    else:
+        pair = _css_pair(c1, c2, cap)
+        prov["raw_pair"] = [w.to_json() for w in pair]
+    return AqcParams(n, k, *_normalize(*pair, prov), c2.field.order,
+                     provenance=prov)
 
 
 def rs_direct_sum_aqc(q: int, k1: int, k2: int,
                       cap: int = DEFAULT_CAP) -> AqcParams:
-    """RS direct sums C_i (+) extend(C_i):
-    [[2q-1, 2(k1-k2), {q-k1, k2+1}]]_q."""
-    if not 1 <= k2 < k1 <= q - 1:
-        raise PreconditionError(f"need 1 <= k2 < k1 <= q-1, got ({k1},{k2})")
-    big, small = families.rs_code(q, k1), families.rs_code(q, k2)
-    ds = {}
-    for name, c in (("big", big), ("small", small)):
+    """RS direct sums C_i (+) extend(C_i): the record of
+    rs_direct_sum_formula."""
+    if violations := _nested_dimensions(k1, k2, q - 1, "q-1"):
+        raise PreconditionError(violations)
+    sums = []
+    for c in (families.rs_code(q, k1), families.rs_code(q, k2)):
         ext = c.extend_parity()
         s = lincode.direct_sum(c, ext)
         # identity used by the construction: dual distributes over direct sum
         if s.dual() != lincode.direct_sum(c.dual(), ext.dual()):
             raise CodeError("dual of direct sum != direct sum of duals")
-        s.declared_distance = q - (k1 if name == "big" else k2)
-        ds[name] = s
-    if not ds["big"].contains_code(ds["small"]):
-        raise PreconditionError("direct-sum codes are not nested")
-    k = 2 * (k1 - k2)
-    if ds["big"].k - ds["small"].k != k:
-        raise CodeError("direct-sum dimensions disagree with formula")
+        sums.append(s)
     prov = {"construction": "rs_direct_sum", "q": q, "k1": k1, "k2": k2,
             "nesting": "verified", "dual_decomposition": "verified"}
-    dz, dx = _formula_then_css(q - k1, k2 + 1, ds["small"], ds["big"], prov,
-                               cap)
-    return AqcParams(2 * q - 1, k, dz, dx, q, provenance=prov)
+    big, small = sums
+    return _formula_then_css(rs_direct_sum_formula(q, k1, k2), small, big,
+                             ("direct-sum codes", "direct-sum dimensions"),
+                             prov, cap)
 
 
 def _require_degree(m: int):
@@ -343,35 +366,24 @@ def _require_degree(m: int):
 
 def concat_expand_aqc(q: int, m: int, k1: int, k2: int,
                       cap: int = DEFAULT_CAP) -> AqcParams:
-    """Parity-augmented basis expansion of nested RS codes over GF(q^m):
-    [[(m+1)(q^m-1), m(k1-k2), {2(q^m-k1), 2(k2+1)}]]_q."""
+    """Parity-augmented basis expansion of nested RS codes over GF(q^m): the
+    record of concat_expand_formula."""
     _require_degree(m)
     p, _ = prime_power(q)
-    violations = []
-    if q % 2 == 1 and (q != p or m % 2 == 0):
-        violations.append("odd q must be prime with m odd")
     big_q = q ** m
-    if not 1 <= k2 < k1 <= big_q - 1:
-        violations.append(f"need 1 <= k2 < k1 <= q^m-1, got ({k1},{k2})")
+    violations = _nested_dimensions(k1, k2, big_q - 1, "q^m-1")
+    if q % 2 == 1 and (q != p or m % 2 == 0):
+        violations.insert(0, "odd q must be prime with m odd")
     if violations:
         raise PreconditionError(violations)
-    sub = field_from_q(q)
-    ext = field_from_q(big_q)
-    basis = standard_basis(get_embedding(sub, ext))
-    rs1 = families.rs_code(big_q, k1)
-    rs2 = families.rs_code(big_q, k2)
-    e1 = lincode.expand_with_parity(rs1, basis)
-    e2 = lincode.expand_with_parity(rs2, basis)
-    if not e1.contains_code(e2):
-        raise PreconditionError("expanded RS codes are not nested")
-    k = m * (k1 - k2)
-    if e1.k - e2.k != k:
-        raise CodeError("expanded dimensions disagree with formula")
+    basis = standard_basis(get_embedding(field_from_q(q), field_from_q(big_q)))
+    e1, e2 = (lincode.expand_with_parity(families.rs_code(big_q, kk), basis)
+              for kk in (k1, k2))
     prov = {"construction": "concat_expand", "q": q, "m": m,
             "k1": k1, "k2": k2, "nesting": "verified"}
-    dz, dx = _formula_then_css(2 * (big_q - k1), 2 * (k2 + 1), e2, e1, prov,
-                               cap)
-    return AqcParams((m + 1) * (big_q - 1), k, dz, dx, q, provenance=prov)
+    return _formula_then_css(concat_expand_formula(q, m, k1, k2), e2, e1,
+                             ("expanded RS codes", "expanded dimensions"),
+                             prov, cap)
 
 
 def quantum_concat_params(q: int, m: int, k1: int, k2: int,
@@ -380,14 +392,14 @@ def quantum_concat_params(q: int, m: int, k1: int, k2: int,
     [[(m+1)(q^m-1)(q^m-2), m(k1-k2), >= D]]_q with D = d*d'."""
     _require_degree(m)
     big_q = q ** m
-    violations = []
+    violations = _nested_dimensions(k1, k2, big_q - 1, "q^m-1")
     if not 1 <= k <= big_q - 3:
-        violations.append(f"inner parameter k={k} must satisfy 1 <= k <= q^m-3")
-    if not 1 <= k2 < k1 <= big_q - 1:
-        violations.append(f"need 1 <= k2 < k1 <= q^m-1, got ({k1},{k2})")
+        violations.insert(
+            0, f"inner parameter k={k} must satisfy 1 <= k <= q^m-3")
     if violations:
         raise PreconditionError(violations)
-    d_outer = min(2 * (big_q - k1), 2 * (k2 + 1))
+    n_outer, k_outer, da, db = concat_expand_formula(q, m, k1, k2)
+    d_outer = min(da, db)
     # the factor 2 applies to only one member of the inner pair, as stated
     d_inner = min(2 * (big_q - k - 1), k)
     big_d = d_outer * d_inner
@@ -398,8 +410,7 @@ def quantum_concat_params(q: int, m: int, k1: int, k2: int,
                       "inner distance formula min{2(q^m-k-1), k} implemented "
                       "as stated; the asymmetric factor 2 is flagged"]}
     d = Bound(big_d, "lower_bound", "concatenation")
-    return AqcParams((m + 1) * (big_q - 1) * (big_q - 2), m * (k1 - k2),
-                     d, d, q, provenance=prov)
+    return AqcParams(n_outer * (big_q - 2), k_outer, d, d, q, provenance=prov)
 
 
 def negacyclic_expand_aqc(q: int, n: int, s: int, m: int) -> AqcParams:

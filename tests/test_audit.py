@@ -413,6 +413,40 @@ def test_frozen_statuses():
         "exponents": [2, 5, 6, 7, 8, 9, 10, 13]}
 
 
+@pytest.mark.parametrize("row", audit.TABLE4_ROWS)
+def test_table4_hits_are_the_pipeline_records(row):
+    """Every (k1, k2) that table4_matches finds for a row gives, through
+    concat_expand_aqc on its declared branch (cap=1), the row's n, k and
+    unordered distance pair."""
+    q, m, n, k, dz, dx = row
+    hits, _ = audit.table4_matches(q, m, k, {dz, dx})
+    for k1, k2 in hits:
+        rec = quantum.concat_expand_aqc(q, m, k1, k2, cap=1)
+        assert (rec.dz.kind, rec.dx.kind) == ("declared", "declared")
+        assert (rec.n, rec.k) == (n, k)
+        assert sorted(rec.provenance["formula_pair"]) == sorted((dz, dx))
+    assert bool(hits) == (audit._audit_table4_row(row).status
+                          == "formula-consistent")
+
+
+@pytest.mark.parametrize("row", audit.RS_EXAMPLE_ROWS)
+def test_rs_example_hit_is_the_first_pipeline_record(row):
+    """Over every 1 <= k2 < k1 <= 15, the (k1, k2) whose rs_direct_sum_aqc
+    record on its declared branch (cap=1) has the row's n, k and unordered
+    distance pair are the audit's hits: it reports the first, or none."""
+    n, k, dz, dx = row
+    matched = []
+    for k1 in range(2, 16):
+        for k2 in range(1, k1):
+            rec = quantum.rs_direct_sum_aqc(16, k1, k2, cap=1)
+            assert rec.dz.kind == "declared"
+            if (rec.n, rec.k, sorted(rec.provenance["formula_pair"])) == (
+                    n, k, sorted((dz, dx))):
+                matched.append([k1, k2])
+    detail = audit._audit_rs_example(row, cap=1).detail
+    assert detail.get("k1_k2") == (matched[0] if matched else None)
+
+
 def test_audit_row_rejects_unknown_status():
     assert audit.AuditRow("[[7,1,{3,3}]]_2", "inconsistent").status
     with pytest.raises(QctError, match="unknown audit status"):

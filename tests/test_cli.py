@@ -1,5 +1,6 @@
 import json
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -110,6 +111,9 @@ def test_exit_codes():
                  id="build-negacyclic-n0"),
     pytest.param(["code", "build", "bch", "--q", "4", "--n", "-3", "--delta",
                   "2"], None, 1, "BCH length n=-3", id="build-bch-n-negative"),
+    pytest.param(["code", "build", "preparata", "--m", "3", "--i", "-1"], None,
+                 1, "i=-1 must be at least 1",
+                 id="build-preparata-i-negative"),
     pytest.param(["code", "build", "bch", "--q", "4", "--n", "15", "--delta",
                   "3"], 100, 1, "rref of a 11 x 15 matrix",
                  id="build-rref-budget"),
@@ -284,16 +288,57 @@ def test_distance_dual_expand_exit_codes(code_files, monkeypatch, capsys, args,
                  "extension degree m=0", id="concat-m0"),
     pytest.param("quantum qconcat --q 4 --m 0 --k1 2 --k2 1 --k 1",
                  "extension degree m=0", id="qconcat-m0"),
+    pytest.param("quantum charpin --m 5 --i -2", "i=-2 must be at least 1",
+                 id="charpin-i-negative"),
 ])
 def test_quantum_exit_codes(code_files, capsys, args, message):
     """One row per exit-1 case of `quantum css`, `allone`, `best`, `negaexp`,
-    `concat` and `qconcat`: empty stdout and one stderr line.  The first,
-    fifth and ninth rows are refused by a containment check (contains_code,
-    contains_word)."""
+    `concat`, `qconcat` and `charpin`: empty stdout and one stderr line.  The
+    first, fifth and ninth rows are refused by a containment check
+    (contains_code, contains_word)."""
     assert run_cli(args.split()) == 1
     out, err = capsys.readouterr()
     assert out == "" and len(err.strip().splitlines()) == 1
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("path,options", [
+    ("code build rs", "q k"),
+    ("code build bch", "q n delta"),
+    ("code build simplex", "m"),
+    ("code build preparata", "m i"),
+    ("code build negacyclic", "q n s"),
+    ("quantum bch1", "m d1 d2"),
+    ("quantum charpin", "m i"),
+    ("quantum rsds", "q k1 k2"),
+    ("quantum concat", "q m k1 k2"),
+    ("quantum qconcat", "q m k1 k2 k"),
+    ("quantum negaexp", "q n s m"),
+])
+def test_family_command_options(capsys, path, options):
+    """Each family command takes its required integer options in order, then
+    the --json flag, and only `qconcat --k` has a help text.  Leaving out the
+    last option exits 2 with one stderr line."""
+    cmd = main
+    for name in path.split():
+        cmd = cmd.commands[name]
+    names = options.split()
+    assert [p.opts for p in cmd.params] == [[f"--{o}"] for o in names] + [
+        ["--json"]]
+    *ints, flag = cmd.params
+    for p in ints:
+        assert isinstance(p, click.Option) and p.required
+        assert p.type is click.INT and not p.is_flag
+        assert p.help == ("inner AQMDS parameter"
+                          if (path, p.name) == ("quantum qconcat", "k")
+                          else None)
+    assert isinstance(flag, click.Option) and flag.is_flag
+    assert (flag.name, flag.required, flag.help) == ("as_json", False, None)
+    args = path.split() + [a for o in names[:-1] for a in (f"--{o}", "1")]
+    assert run_cli(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"usage error: Missing option '--{names[-1]}'.\n"
 
 
 def test_catalog_flow(runner, tmp_path):
